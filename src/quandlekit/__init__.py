@@ -8,8 +8,9 @@ brackets by differentiation, integrate flows, and test whether "x fixes y"
 and "y fixes x" always agree.
 """
 
+from types import ModuleType as _ModuleType
+
 from .linalg import (
-    ConvergenceError,
     as_matrix,
     commutator,
     conjugate_by_exp,
@@ -85,71 +86,10 @@ from .verify import (
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "AxiomReport",
-    "ConvergenceError",
-    "GroupTable",
-    "MagmaTable",
-    "NoetherSummary",
-    "NoetherVerdict",
-    "PAULI_X",
-    "PAULI_Y",
-    "PAULI_Z",
-    "REALIZATION_NAMES",
-    "Realization",
-    "StructureReport",
-    "Trajectory",
-    "UnionElement",
-    "UnionQuandleSpec",
-    "as_matrix",
-    "bloch",
-    "bloch_embedding",
-    "bloch_generator",
-    "bloch_rotate",
-    "canonical_form",
-    "classify",
-    "commutator",
-    "conjugate_by_exp",
-    "conjugation_quandle",
-    "convex_flow",
-    "convex_spindle",
-    "corrupted_flow",
-    "cyclic_group",
-    "dihedral_group",
-    "direct_product",
-    "eigh",
-    "enumerate_tables",
-    "expm",
-    "fixed_spectrum",
-    "hermitize",
-    "integrate_flow",
-    "inverse_operation",
-    "is_hermitian",
-    "make_realization",
-    "matrix_from_json",
-    "matrix_general",
-    "matrix_hermitian",
-    "matrix_to_json",
-    "max_abs",
-    "noether_check",
-    "noether_suite",
-    "numeric_bracket",
-    "op_convex_flow",
-    "op_matrix_plain",
-    "op_matrix_skew",
-    "op_union",
-    "planar_rotation",
-    "prenoether_holds",
-    "quaternion_group",
-    "random_complex",
-    "random_hermitian",
-    "relabel_table",
-    "require_hermitian",
-    "sample_flow",
-    "spectrum",
-    "symmetric_group",
-    "union_lie",
-    "union_quandle",
-    "verify_axioms",
-    "write_trajectory_csv",
-]
+# The public API is every name imported above; submodules and underscore
+# names are left out.
+__all__ = sorted(
+    name
+    for name, value in globals().items()
+    if not name.startswith("_") and not isinstance(value, _ModuleType)
+)

@@ -39,6 +39,26 @@ def _freeze_table(rows, order: int | None = None) -> Table:
     return table
 
 
+def _json_int(value, what: str) -> int:
+    """``value`` if it is a JSON integer; bools, floats and strings are refused."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ValueError(f"{what} must be an integer, got {value!r}")
+    return value
+
+
+def _rows_from_json(obj, kind: str) -> tuple[list, int]:
+    """The ``table`` rows and declared ``order`` of a table JSON object."""
+    if not isinstance(obj, dict) or "table" not in obj:
+        raise ValueError(f"{kind} JSON must be an object with a 'table' key")
+    rows = obj["table"]
+    if not isinstance(rows, list) or not all(isinstance(row, list) for row in rows):
+        raise ValueError(f"{kind} JSON 'table' must be a list of rows")
+    for i, row in enumerate(rows):
+        for v in row:
+            _json_int(v, f"{kind} JSON 'table' entry in row {i}")
+    return rows, _json_int(obj.get("order", len(rows)), f"{kind} JSON 'order'")
+
+
 @dataclass(frozen=True)
 class MagmaTable:
     """A finite binary operation: ``table[x][y]`` is x acting on y."""
@@ -48,8 +68,8 @@ class MagmaTable:
 
     @classmethod
     def from_rows(cls, rows) -> "MagmaTable":
-        table = _freeze_table(rows)
-        return cls(order=len(table), table=table)
+        rows = tuple(rows)
+        return cls(order=len(rows), table=rows)
 
     def __post_init__(self):
         object.__setattr__(self, "table", _freeze_table(self.table, self.order))
@@ -62,10 +82,8 @@ class MagmaTable:
 
     @classmethod
     def from_json(cls, obj) -> "MagmaTable":
-        if not isinstance(obj, dict) or "table" not in obj:
-            raise ValueError("table JSON must be an object with a 'table' key")
-        table = _freeze_table(obj["table"], obj.get("order"))
-        return cls(order=len(table), table=table)
+        rows, order = _rows_from_json(obj, "table")
+        return cls(order=order, table=rows)
 
 
 @dataclass(frozen=True)
@@ -219,13 +237,11 @@ class GroupTable:
 
     @classmethod
     def from_json(cls, obj) -> "GroupTable":
-        if not isinstance(obj, dict) or "table" not in obj:
-            raise ValueError("group JSON must be an object with a 'table' key")
-        g = cls.from_rows(_freeze_table(obj["table"], obj.get("order")))
-        if "identity" in obj and int(obj["identity"]) != g.identity:
-            raise ValueError(
-                f"declared identity {obj['identity']} but table identity is {g.identity}"
-            )
+        rows, order = _rows_from_json(obj, "group")
+        g = cls.from_rows(_freeze_table(rows, order))
+        identity = _json_int(obj.get("identity", g.identity), "group JSON 'identity'")
+        if identity != g.identity:
+            raise ValueError(f"declared identity {identity} but table identity is {g.identity}")
         return g
 
 

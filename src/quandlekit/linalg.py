@@ -18,13 +18,6 @@ HERMITICITY_TOL = 1e-12
 # the series tail is then < 0.5**19/19! and irrelevant next to rounding.
 _EXPM_TAYLOR_TERMS = 18
 
-_JACOBI_OFF_TOL = 1e-12
-_JACOBI_MAX_SWEEPS = 100
-
-
-class ConvergenceError(RuntimeError):
-    """The iterative eigensolver did not reach its threshold in budget."""
-
 
 def as_matrix(data) -> np.ndarray:
     """Coerce to a validated square complex matrix (finite, dim 1..16)."""
@@ -108,81 +101,18 @@ def conjugate_by_exp(x, t: float, y) -> np.ndarray:
     return fwd @ y @ bwd
 
 
-def eigh(
-    a,
-    off_tol: float = _JACOBI_OFF_TOL,
-    max_sweeps: int = _JACOBI_MAX_SWEEPS,
-    hermiticity_tol: float = HERMITICITY_TOL,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Eigendecomposition of a Hermitian matrix by cyclic Jacobi rotations.
+def eigh(a) -> tuple[np.ndarray, np.ndarray]:
+    """Eigendecomposition of a Hermitian matrix by LAPACK (``numpy.linalg.eigh``).
 
     Returns ``(values, vectors)`` with real eigenvalues ascending and the
-    matching eigenvectors as columns.  Sweeps run until the off-diagonal
-    Frobenius mass drops below ``off_tol``; exceeding ``max_sweeps`` raises
-    ConvergenceError.
+    matching eigenvectors as columns.
     """
-    a = require_hermitian(a, tol=hermiticity_tol)
-    n = a.shape[0]
-    work = hermitize(a)
-    vecs = np.eye(n, dtype=complex)
-    if n == 1:
-        return work.real.diagonal().copy(), vecs
-
-    def _off_diagonal_mass() -> float:
-        return float(np.sqrt(np.sum(np.abs(work - np.diag(np.diag(work))) ** 2)))
-
-    converged = False
-    for _ in range(max_sweeps):
-        if _off_diagonal_mass() <= off_tol:
-            converged = True
-            break
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                apq = work[p, q]
-                r = abs(apq)
-                if r == 0.0:
-                    continue
-                phase = apq / r
-                app = work[p, p].real
-                aqq = work[q, q].real
-                theta = (aqq - app) / (2.0 * r)
-                sign = 1.0 if theta >= 0.0 else -1.0
-                t = sign / (abs(theta) + math.hypot(theta, 1.0))
-                c = 1.0 / math.sqrt(t * t + 1.0)
-                s = t * c
-                # Unitary J differing from identity in rows/cols p, q:
-                #   J[p,p] = c*phase   J[p,q] = s*phase
-                #   J[q,p] = -s        J[q,q] = c
-                col_p = work[:, p].copy()
-                col_q = work[:, q].copy()
-                work[:, p] = col_p * (c * phase) - col_q * s
-                work[:, q] = col_p * (s * phase) + col_q * c
-                row_p = work[p, :].copy()
-                row_q = work[q, :].copy()
-                work[p, :] = row_p * np.conj(c * phase) - row_q * s
-                work[q, :] = row_p * np.conj(s * phase) + row_q * c
-                work[p, q] = 0.0
-                work[q, p] = 0.0
-                work[p, p] = work[p, p].real
-                work[q, q] = work[q, q].real
-                v_p = vecs[:, p].copy()
-                v_q = vecs[:, q].copy()
-                vecs[:, p] = v_p * (c * phase) - v_q * s
-                vecs[:, q] = v_p * (s * phase) + v_q * c
-    if not converged and _off_diagonal_mass() > off_tol:
-        raise ConvergenceError(
-            f"Jacobi sweeps exceeded {max_sweeps} without reaching {off_tol:.1e}"
-        )
-
-    values = work.diagonal().real.copy()
-    order = np.argsort(values, kind="stable")
-    return values[order], vecs[:, order]
+    return np.linalg.eigh(hermitize(require_hermitian(a)))
 
 
-def spectrum(a, hermiticity_tol: float = HERMITICITY_TOL) -> np.ndarray:
+def spectrum(a) -> np.ndarray:
     """Real eigenvalues of a Hermitian matrix, sorted ascending."""
-    values, _ = eigh(a, hermiticity_tol=hermiticity_tol)
-    return values
+    return np.linalg.eigvalsh(hermitize(require_hermitian(a)))
 
 
 def random_complex(rng: np.random.Generator, dim: int) -> np.ndarray:
@@ -212,16 +142,31 @@ def matrix_to_json(a) -> dict:
     }
 
 
+def _json_reals(rows, key: str) -> np.ndarray:
+    """A JSON list of rows of numbers as a float array; bools and strings are refused."""
+    if not isinstance(rows, list) or not all(isinstance(row, list) for row in rows):
+        raise ValueError(f"matrix JSON {key!r} must be a list of rows")
+    for row in rows:
+        for v in row:
+            if isinstance(v, bool) or not isinstance(v, (int, float)):
+                raise ValueError(f"matrix JSON {key!r} entry {v!r} is not a number")
+    try:
+        return np.asarray(rows, dtype=float)
+    except ValueError as exc:
+        raise ValueError(f"malformed matrix JSON {key!r}: {exc}") from exc
+
+
 def matrix_from_json(obj) -> np.ndarray:
     """Parse the wire format produced by :func:`matrix_to_json`."""
     if not isinstance(obj, dict):
         raise ValueError("matrix JSON must be an object with dim/re/im")
     try:
-        dim = int(obj["dim"])
-        re = np.asarray(obj["re"], dtype=float)
-        im = np.asarray(obj["im"], dtype=float)
-    except (KeyError, TypeError, ValueError) as exc:
+        dim, re, im = obj["dim"], obj["re"], obj["im"]
+    except KeyError as exc:
         raise ValueError(f"malformed matrix JSON: {exc}") from exc
+    if isinstance(dim, bool) or not isinstance(dim, int):
+        raise ValueError(f"matrix JSON 'dim' must be an integer, got {dim!r}")
+    re, im = _json_reals(re, "re"), _json_reals(im, "im")
     if re.shape != (dim, dim) or im.shape != (dim, dim):
         raise ValueError(
             f"matrix JSON shape mismatch: dim={dim}, re {re.shape}, im {im.shape}"

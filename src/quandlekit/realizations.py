@@ -42,17 +42,6 @@ SPECTRUM_GAP = 1e-6
 #: How closely a sphere point must sit on the unit sphere.
 UNIT_TOL = 1e-12
 
-REALIZATION_NAMES = (
-    "matrix-hermitian",
-    "matrix-general",
-    "bloch",
-    "convex-flow",
-    "convex-spindle",
-    "fixed-spectrum",
-    "union",
-)
-
-
 @dataclass(frozen=True)
 class Realization:
     """A carrier with a real-parameter operation and its verification hooks.
@@ -224,6 +213,33 @@ def _matrix_flatten(a: np.ndarray) -> list[float]:
     return out
 
 
+# The metric, tangent norm, JSON encoders and CSV flatteners shared by every
+# realization on one kind of carrier.
+_MATRIX_CODEC = dict(
+    metric=_matrix_metric,
+    tangent_norm=max_abs,
+    encode=matrix_to_json,
+    encode_tangent=matrix_to_json,
+    flat_labels=_matrix_labels,
+    flatten=_matrix_flatten,
+)
+
+
+def _vector_codec(dim: int, labels=None, decode=None) -> dict:
+    """Codec of real ``dim``-vectors; CSV columns default to v0, v1, ...,
+    and decoding to a finite-entry check."""
+    labels = [f"v{i}" for i in range(dim)] if labels is None else labels
+    return dict(
+        metric=_euclidean_metric,
+        tangent_norm=lambda v: float(np.linalg.norm(v)),
+        decode=decode or (lambda obj: _decode_vector(obj, dim)),
+        encode=_encode_vector,
+        encode_tangent=_encode_vector,
+        flat_labels=lambda v: list(labels),
+        flatten=_encode_vector,
+    )
+
+
 # ---------------------------------------------------------------------------
 # samplers
 
@@ -286,17 +302,12 @@ def matrix_hermitian(dim: int = 2) -> Realization:
         name="matrix-hermitian",
         carrier=f"{dim}x{dim} Hermitian matrices",
         op=op_matrix_skew,
-        metric=_matrix_metric,
         sample=lambda rng: random_hermitian(rng, dim, unit_norm=True),
         default_tolerance=1e-8,
         analytic_bracket=lambda x, y: 1j * commutator(x, y),
-        tangent_norm=max_abs,
         generator=lambda x: 1j * x,
         decode=decode,
-        encode=matrix_to_json,
-        encode_tangent=matrix_to_json,
-        flat_labels=_matrix_labels,
-        flatten=_matrix_flatten,
+        **_MATRIX_CODEC,
         params={"dim": dim},
     )
 
@@ -308,17 +319,12 @@ def matrix_general(dim: int = 2) -> Realization:
         name="matrix-general",
         carrier=f"{dim}x{dim} complex matrices",
         op=op_matrix_plain,
-        metric=_matrix_metric,
         sample=lambda rng: _sample_general_matrix(rng, dim),
         default_tolerance=1e-8,
         analytic_bracket=commutator,
-        tangent_norm=max_abs,
         generator=lambda x: x,
         decode=matrix_from_json,
-        encode=matrix_to_json,
-        encode_tangent=matrix_to_json,
-        flat_labels=_matrix_labels,
-        flatten=_matrix_flatten,
+        **_MATRIX_CODEC,
         params={"dim": dim},
     )
 
@@ -336,16 +342,10 @@ def bloch() -> Realization:
         name="bloch",
         carrier="unit vectors on the 2-sphere",
         op=bloch_rotate,
-        metric=_euclidean_metric,
         sample=_sample_unit_sphere,
         default_tolerance=1e-8,
         analytic_bracket=lambda x, y: np.cross(x, y),
-        tangent_norm=lambda v: float(np.linalg.norm(v)),
-        decode=decode,
-        encode=_encode_vector,
-        encode_tangent=_encode_vector,
-        flat_labels=lambda v: ["x", "y", "z"],
-        flatten=lambda v: [float(c) for c in v],
+        **_vector_codec(3, ["x", "y", "z"], decode),
     )
 
 
@@ -356,16 +356,10 @@ def convex_flow(dim: int = 3) -> Realization:
         name="convex-flow",
         carrier=f"{dim}-vectors under affine relaxation",
         op=op_convex_flow,
-        metric=_euclidean_metric,
         sample=lambda rng: rng.uniform(-1.0, 1.0, size=dim),
         default_tolerance=1e-12,
         analytic_bracket=lambda x, y: x - y,
-        tangent_norm=lambda v: float(np.linalg.norm(v)),
-        decode=lambda obj: _decode_vector(obj, dim),
-        encode=_encode_vector,
-        encode_tangent=_encode_vector,
-        flat_labels=lambda v: [f"v{i}" for i in range(dim)],
-        flatten=lambda v: [float(c) for c in v],
+        **_vector_codec(dim),
         params={"dim": dim},
     )
 
@@ -391,14 +385,10 @@ def convex_spindle(bias: float = 0.5, dim: int = 3, body: str = "box") -> Realiz
         name="convex-spindle",
         carrier=f"{dim}-vectors in the unit {body}",
         op=op,
-        metric=_euclidean_metric,
         sample=lambda rng: sampler(rng, dim),
         default_tolerance=1e-12,
         family=False,
-        decode=lambda obj: _decode_vector(obj, dim),
-        encode=_encode_vector,
-        flat_labels=lambda v: [f"v{i}" for i in range(dim)],
-        flatten=lambda v: [float(c) for c in v],
+        **_vector_codec(dim),
         params={"bias": bias, "dim": dim, "body": body},
     )
 
@@ -438,17 +428,12 @@ def fixed_spectrum(eigenvalues) -> Realization:
         name="fixed-spectrum",
         carrier=f"Hermitian {dim}x{dim} matrices with spectrum {spec.tolist()}",
         op=op,
-        metric=_matrix_metric,
         sample=sample,
         default_tolerance=1e-8,
         analytic_bracket=lambda x, y: 1j * commutator(x, y),
-        tangent_norm=max_abs,
         generator=lambda x: 1j * x,
         decode=decode,
-        encode=matrix_to_json,
-        encode_tangent=matrix_to_json,
-        flat_labels=_matrix_labels,
-        flatten=_matrix_flatten,
+        **_MATRIX_CODEC,
         params={"spectrum": [float(v) for v in spec]},
     )
 
@@ -494,13 +479,27 @@ def corrupted_flow(dim: int = 3) -> Realization:
         name="corrupted",
         carrier=f"{dim}-vectors under a deliberately broken operation",
         op=lambda x, t, y: y + 1e-3 * x,
-        metric=_euclidean_metric,
         sample=lambda rng: rng.uniform(-1.0, 1.0, size=dim),
         default_tolerance=1e-8,
-        decode=lambda obj: _decode_vector(obj, dim),
-        encode=_encode_vector,
+        **_vector_codec(dim),
         params={"dim": dim},
     )
+
+
+# Command-line name -> factory, in the order the CLI lists them.
+_FACTORIES: dict[str, Callable[..., Realization]] = {
+    "matrix-hermitian": lambda dim, **_: matrix_hermitian(dim),
+    "matrix-general": lambda dim, **_: matrix_general(dim),
+    "bloch": lambda **_: bloch(),
+    "convex-flow": lambda dim, **_: convex_flow(dim),
+    "convex-spindle": lambda dim, bias, body, **_: convex_spindle(bias, dim, body),
+    "fixed-spectrum": lambda dim, eigenvalues, **_: fixed_spectrum(
+        [float(k) for k in range(1, dim + 1)] if eigenvalues is None else eigenvalues
+    ),
+    "union": lambda **_: union_lie(),
+}
+
+REALIZATION_NAMES = tuple(_FACTORIES)
 
 
 def make_realization(
@@ -512,20 +511,6 @@ def make_realization(
     eigenvalues=None,
 ) -> Realization:
     """Build a realization from its command-line name."""
-    if name == "matrix-hermitian":
-        return matrix_hermitian(dim)
-    if name == "matrix-general":
-        return matrix_general(dim)
-    if name == "bloch":
-        return bloch()
-    if name == "convex-flow":
-        return convex_flow(dim)
-    if name == "convex-spindle":
-        return convex_spindle(bias, dim, body)
-    if name == "fixed-spectrum":
-        if eigenvalues is None:
-            eigenvalues = [float(k) for k in range(1, dim + 1)]
-        return fixed_spectrum(eigenvalues)
-    if name == "union":
-        return union_lie()
-    raise ValueError(f"unknown realization {name!r}; choose from {REALIZATION_NAMES}")
+    if name not in _FACTORIES:
+        raise ValueError(f"unknown realization {name!r}; choose from {REALIZATION_NAMES}")
+    return _FACTORIES[name](dim=dim, bias=bias, body=body, eigenvalues=eigenvalues)

@@ -72,6 +72,11 @@ def test_classify_malformed_exits_two(capsys, tmp_path):
     assert code == 2 and out == "" and "error:" in err
     code, _, _ = run_cli(capsys, "classify", str(tmp_path / "missing.json"))
     assert code == 2
+    # Non-integer entries are refused, not truncated into a valid table.
+    coerced = write_json(tmp_path / "coerced.json",
+                         {"order": 2, "table": [[0, 1.9], [True, "1"]]})
+    code, out, err = run_cli(capsys, "classify", coerced)
+    assert code == 2 and out == "" and "'table'" in err
 
 
 def test_enumerate_json_lines(capsys):

@@ -106,6 +106,31 @@ def test_magma_json_round_trip():
         qk.MagmaTable.from_json([[0]])
 
 
+@pytest.mark.parametrize("cls", [qk.MagmaTable, qk.GroupTable])
+@pytest.mark.parametrize("obj, field", [
+    ({"order": 2, "table": [[0, 1.9], [1, 0]]}, "'table'"),
+    ({"order": 2, "table": [[0, 1], [True, 0]]}, "'table'"),
+    ({"order": 2, "table": [[0, 1], ["1", 0]]}, "'table'"),
+    ({"order": 2, "table": [[0, 1], [1, 0.0]]}, "'table'"),
+    ({"order": 2, "table": "01"}, "'table'"),
+    ({"order": 2, "table": [[0, 1], 10]}, "'table'"),
+    ({"order": "2", "table": [[0, 1], [1, 0]]}, "'order'"),
+    ({"order": 2.0, "table": [[0, 1], [1, 0]]}, "'order'"),
+    ({"order": True, "table": [[0]]}, "'order'"),
+])
+def test_table_json_rejects_non_integers(cls, obj, field):
+    with pytest.raises(ValueError, match=field):
+        cls.from_json(obj)
+
+
+def test_group_json_rejects_non_integer_identity():
+    obj = qk.cyclic_group(2).to_json()
+    for bad in (0.0, False, "0"):
+        obj["identity"] = bad
+        with pytest.raises(ValueError, match="'identity'"):
+            qk.GroupTable.from_json(obj)
+
+
 def test_classify_cyclic3_table():
     report = qk.classify(qk.MagmaTable.from_rows(CYCLIC3))
     assert report.is_shelf and report.is_spindle and report.is_quandle

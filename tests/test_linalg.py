@@ -1,8 +1,9 @@
 """Matrix-core tests.
 
-The hand-rolled expm and Jacobi eigensolver are checked against independent
-oracles: a straight truncated power series, eigendecomposition-based
-reconstruction, and numpy's LAPACK-backed eigvalsh.
+The hand-rolled expm is checked against independent oracles: a straight
+truncated power series and eigendecomposition-based reconstruction.  The
+LAPACK-backed eigh/spectrum wrappers are checked for ordering, eigenpair
+residuals and the Hermiticity gate.
 """
 
 import math
@@ -280,6 +281,13 @@ def test_matrix_json_round_trip():
     {"re": [[1.0]]},
     {"dim": 2, "re": [[1.0]], "im": [[0.0]]},
     {"dim": 1, "re": [[1.0]], "im": "oops"},
+    {"dim": 1.7, "re": [[1.0]], "im": [[0.0]]},      # non-integer dim
+    {"dim": 1.0, "re": [[1.0]], "im": [[0.0]]},
+    {"dim": "1", "re": [[1.0]], "im": [[0.0]]},
+    {"dim": True, "re": [[1.0]], "im": [[0.0]]},
+    {"dim": 1, "re": [["1.5"]], "im": [[0.0]]},      # string entry
+    {"dim": 1, "re": [[1.0]], "im": [[False]]},      # bool entry
+    {"dim": 2, "re": [[1.0, 0.0], [0.0]], "im": [[0.0, 0.0], [0.0, 0.0]]},
 ])
 def test_matrix_from_json_rejects(obj):
     with pytest.raises(ValueError):
