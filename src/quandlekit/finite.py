@@ -10,6 +10,7 @@ filtering.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from itertools import permutations, product
 
@@ -23,8 +24,20 @@ KINDS = ("shelf", "spindle", "quandle")
 MAX_ORDER = {"shelf": 3, "spindle": 3, "quandle": 5}
 
 
+def _freeze_row(i: int, row) -> Row:
+    """Row i as a tuple of ints; Python and numpy integers only, so bools,
+    floats and strings are refused rather than truncated or parsed."""
+    row = tuple(row)
+    if bool not in map(type, row):
+        try:
+            return tuple(map(operator.index, row))
+        except TypeError:
+            pass
+    raise ValueError(f"table row {i} must hold integers only, got {list(row)!r}")
+
+
 def _freeze_table(rows, order: int | None = None) -> Table:
-    table = tuple(tuple(int(v) for v in row) for row in rows)
+    table = tuple(_freeze_row(i, row) for i, row in enumerate(rows))
     n = len(table)
     if order is not None and order != n:
         raise ValueError(f"declared order {order} but table has {n} rows")

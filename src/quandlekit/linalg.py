@@ -1,8 +1,9 @@
 """Dense complex linear algebra at desk scale (square matrices up to 16x16).
 
-Matrices are plain numpy arrays of dtype complex128.  All functions are pure
-and never mutate their arguments.  Tolerances throughout are stated in the
-max-abs entry norm ``max_abs``.
+Matrices are plain numpy arrays of dtype complex128.  Where a function says
+so it also takes a stack ``(..., n, n)`` of matrices and works on each
+member.  All functions are pure and never mutate their arguments.
+Tolerances throughout are stated in the max-abs entry norm ``max_abs``.
 """
 
 from __future__ import annotations
@@ -17,14 +18,18 @@ HERMITICITY_TOL = 1e-12
 # Taylor terms used after scaling the argument below Frobenius norm 1/2;
 # the series tail is then < 0.5**19/19! and irrelevant next to rounding.
 _EXPM_TAYLOR_TERMS = 18
+# Every entry of e^X is at most e^{||X||}, so below this Frobenius norm
+# (log of the largest double is 709.78) the result cannot overflow.
+_EXPM_SAFE_NORM = 709.0
 
 
 def as_matrix(data) -> np.ndarray:
-    """Coerce to a validated square complex matrix (finite, dim 1..16)."""
+    """Coerce to a validated square complex matrix (finite, dim 1..16), or a
+    stack ``(..., n, n)`` of them."""
     a = np.asarray(data, dtype=complex)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
+    if a.ndim < 2 or a.shape[-1] != a.shape[-2]:
         raise ValueError(f"expected a square matrix, got shape {a.shape}")
-    n = a.shape[0]
+    n = a.shape[-1]
     if n < 1 or n > MAX_DIM:
         raise ValueError(f"dimension {n} outside supported range 1..{MAX_DIM}")
     if not np.isfinite(a).all():
@@ -38,18 +43,20 @@ def max_abs(a: np.ndarray) -> float:
 
 
 def hermitize(a: np.ndarray) -> np.ndarray:
-    """Hermitian part (a + a†)/2."""
-    return (a + a.conj().T) / 2
+    """Hermitian part (a + a†)/2 of a matrix or of every member of a stack."""
+    return (a + a.conj().swapaxes(-1, -2)) / 2
 
 
 def is_hermitian(a: np.ndarray, tol: float = HERMITICITY_TOL) -> bool:
+    """Whether a matrix, or every member of a stack, is Hermitian within tol."""
     a = np.asarray(a, dtype=complex)
-    return max_abs(a - a.conj().T) <= tol
+    return max_abs(a - a.conj().swapaxes(-1, -2)) <= tol
 
 
 def require_hermitian(a, tol: float = HERMITICITY_TOL) -> np.ndarray:
+    """``as_matrix(a)``, refused unless it (every member of a stack) is Hermitian."""
     a = as_matrix(a)
-    dev = max_abs(a - a.conj().T)
+    dev = max_abs(a - a.conj().swapaxes(-1, -2))
     if dev > tol:
         raise ValueError(f"matrix is not Hermitian: deviation {dev:.3e} > {tol:.3e}")
     return a
@@ -69,36 +76,45 @@ def expm(x) -> np.ndarray:
 
     The argument is scaled by 2**-s until its Frobenius norm is at most 1/2,
     the series is summed to 18 terms by Horner evaluation, and the result is
-    squared s times.
+    squared s times.  A stack ``(..., n, n)`` is exponentiated member by
+    member in one pass, every member scaled by the s of the largest norm.
+    Raises ``OverflowError``, naming the input's max-abs norm, when the
+    result does not fit in double precision.
     """
     x = as_matrix(x)
-    n = x.shape[0]
-    eye = np.eye(n, dtype=complex)
-    norm = float(np.linalg.norm(x))
-    squarings = 0
-    if norm > 0.5:
-        squarings = int(math.ceil(math.log2(norm))) + 1
-        x = x / (2.0**squarings)
-    acc = eye.copy()
-    for k in range(_EXPM_TAYLOR_TERMS, 0, -1):
-        acc = eye + (x @ acc) / k
-    for _ in range(squarings):
-        acc = acc @ acc
-    return acc
+    if x.ndim == 2:  # the plain call is the cheaper one for one matrix
+        norm = float(np.linalg.norm(x))
+    else:
+        norm = float(np.max(np.linalg.norm(x, axis=(-2, -1))))
+    if math.isfinite(norm):
+        eye = np.eye(x.shape[-1], dtype=complex)
+        squarings = 0
+        scaled = x
+        if norm > 0.5:
+            squarings = int(math.ceil(math.log2(norm))) + 1
+            scaled = x / (2.0**squarings)
+        acc = eye.copy()
+        for k in range(_EXPM_TAYLOR_TERMS, 0, -1):
+            acc = eye + (scaled @ acc) / k
+        for _ in range(squarings):
+            acc = acc @ acc
+        if norm <= _EXPM_SAFE_NORM or np.isfinite(acc).all():
+            return acc
+    raise OverflowError(f"matrix exponential overflows: input norm {max_abs(x):.3e}")
 
 
-def conjugate_by_exp(x, t: float, y) -> np.ndarray:
+def conjugate_by_exp(x, t, y) -> np.ndarray:
     """e^{tX} Y e^{-tX}, the inverse taken by negating the exponent.
 
-    No explicit matrix inverse is ever formed.
+    No explicit matrix inverse is ever formed.  A 1-d array of t gives the
+    stack ``(len(t), n, n)`` of the conjugates, one per t.
     """
     x = as_matrix(x)
     y = as_matrix(y)
     if x.shape != y.shape:
         raise ValueError(f"dimension mismatch: {x.shape[0]} vs {y.shape[0]}")
-    fwd = expm(t * x)
-    bwd = expm(-t * x)
-    return fwd @ y @ bwd
+    scale = np.multiply.outer if isinstance(t, np.ndarray) else np.multiply
+    return expm(scale(t, x)) @ y @ expm(scale(-t, x))
 
 
 def eigh(a) -> tuple[np.ndarray, np.ndarray]:

@@ -47,7 +47,11 @@ class Realization:
     """A carrier with a real-parameter operation and its verification hooks.
 
     ``op(x, t, y)`` is x acting on y for time t; for non-family realizations
-    (``family`` false) the operation is fixed and t is ignored.  ``metric``
+    (``family`` false) the operation is fixed and t is ignored.  t is a float
+    or a 1-d numpy array; an array evaluates the whole flow in one call and
+    returns a sequence of ``len(t)`` elements, the k-th being x acting on y
+    for time ``t[k]``: a ``(T, n, n)`` stack on matrix carriers, a
+    ``(T, d)`` array on vector carriers, a tuple on the union.  ``metric``
     is the distance all tolerances refer to.  ``vector_carrier`` says whether
     elements subtract and divide by scalars (needed for difference
     quotients).  ``generator`` maps an element to the plain-convention matrix
@@ -107,30 +111,52 @@ class UnionElement:
 # raw operations
 
 
-def op_matrix_skew(x: np.ndarray, t: float, y: np.ndarray) -> np.ndarray:
+# The ops below branch on ``type(t) is float`` before ``isinstance``: a float
+# t is the axiom checks' hot path, and on the cheapest ops the isinstance
+# test alone would cost some 5%.
+
+
+def _per_time(t, value):
+    """``value`` once per time of the array t: the flow of a fixed point."""
+    if isinstance(value, UnionElement):
+        return (value,) * len(t)
+    return np.repeat(value[None], len(t), axis=0)
+
+
+def op_matrix_skew(x: np.ndarray, t, y: np.ndarray) -> np.ndarray:
     """``e^{itX} Y e^{-itX}`` — adjoint flow of a Hermitian generator."""
     return conjugate_by_exp(1j * x, t, y)
 
 
-def op_matrix_plain(x: np.ndarray, t: float, y: np.ndarray) -> np.ndarray:
+def op_matrix_plain(x: np.ndarray, t, y: np.ndarray) -> np.ndarray:
     """``e^{tX} Y e^{-tX}`` on the full matrix algebra."""
     return conjugate_by_exp(x, t, y)
 
 
-def bloch_rotate(x: np.ndarray, t: float, y: np.ndarray) -> np.ndarray:
+def bloch_rotate(x: np.ndarray, t, y: np.ndarray) -> np.ndarray:
     """Rotate unit vector y by angle t about axis x, right-handed.
 
     Rodrigues: y cos t + (x × y) sin t + x (x·y)(1 − cos t), renormalized so
     repeated application cannot drift off the sphere.
     """
-    c, s = math.cos(t), math.sin(t)
+    if type(t) is float or not isinstance(t, np.ndarray):
+        c, s = math.cos(t), math.sin(t)
+    else:
+        c, s = np.cos(t)[:, None], np.sin(t)[:, None]
     r = y * c + np.cross(x, y) * s + x * float(x @ y) * (1.0 - c)
+    if r.ndim > 1:
+        return r / np.linalg.norm(r, axis=1, keepdims=True)
     return r / float(np.linalg.norm(r))
 
 
-def op_convex_flow(x: np.ndarray, t: float, y: np.ndarray) -> np.ndarray:
+def op_convex_flow(x: np.ndarray, t, y: np.ndarray) -> np.ndarray:
     """Exponential relaxation of y toward x: (1 − e^{−t})x + e^{−t}y."""
-    w = math.exp(-t)
+    if type(t) is float or not isinstance(t, np.ndarray):
+        w = math.exp(-t)
+    else:
+        # Overflow raises, as math.exp does for one t.
+        with np.errstate(over="raise"):
+            w = np.exp(-t)[:, None]
     return (1.0 - w) * x + w * y
 
 
@@ -139,13 +165,18 @@ def planar_rotation(angle: float) -> np.ndarray:
     return np.array([[c, -s], [s, c]], dtype=np.float64)
 
 
-def op_union(x: UnionElement, t: float, y: UnionElement) -> UnionElement:
+def op_union(x: UnionElement, t, y: UnionElement):
     """Three cases: space elements act trivially; the abelian algebra acts
     trivially on itself; an algebra element of scale a rotates a plane point
     by angle t·a."""
     if x.part == "space" or y.part == "algebra":
-        return y
-    return UnionElement("space", planar_rotation(t * x.value) @ y.value)
+        return y if type(t) is float or not isinstance(t, np.ndarray) else _per_time(t, y)
+    if type(t) is float or not isinstance(t, np.ndarray):
+        return UnionElement("space", planar_rotation(t * x.value) @ y.value)
+    angle = t * x.value
+    c, s = np.cos(angle), np.sin(angle)
+    p, q = y.value
+    return tuple(UnionElement("space", v) for v in zip(c * p - s * q, s * p + c * q))
 
 
 def bloch_embedding(p: np.ndarray) -> np.ndarray:
@@ -182,8 +213,23 @@ def _union_metric(a: UnionElement, b: UnionElement) -> float:
     return float(np.linalg.norm(a.value - b.value))
 
 
+def _json_number(v, what: str):
+    """``v`` if it is a JSON number; bools, strings and the rest are refused."""
+    if isinstance(v, bool) or not isinstance(v, (int, float)):
+        raise ValueError(f"{what} must be a number, got {v!r}")
+    return v
+
+
+def _json_vector(obj, what: str):
+    """``obj`` unchanged; if it is a list, an entry that is not a JSON number is refused."""
+    if isinstance(obj, list):
+        for c in obj:
+            _json_number(c, f"{what} entry")
+    return obj
+
+
 def _decode_vector(obj, dim: int) -> np.ndarray:
-    v = np.asarray(obj, dtype=np.float64)
+    v = np.asarray(_json_vector(obj, "vector JSON"), dtype=np.float64)
     if v.shape != (dim,):
         raise ValueError(f"expected a length-{dim} array of reals")
     if not np.all(np.isfinite(v)):
@@ -379,7 +425,8 @@ def convex_spindle(bias: float = 0.5, dim: int = 3, body: str = "box") -> Realiz
     sampler = _sample_box if body == "box" else _sample_simplex
 
     def op(x, t, y):
-        return (1.0 - bias) * x + bias * y
+        out = (1.0 - bias) * x + bias * y
+        return out if type(t) is float or not isinstance(t, np.ndarray) else _per_time(t, out)
 
     return Realization(
         name="convex-spindle",
@@ -395,7 +442,8 @@ def convex_spindle(bias: float = 0.5, dim: int = 3, body: str = "box") -> Realiz
 
 def fixed_spectrum(eigenvalues) -> Realization:
     """Hermitian matrices with one shared spectrum, closed under the skew
-    flow; every op output is checked to still carry that spectrum."""
+    flow; every op output, each member of a stack at once by one broadcast
+    ``eigvalsh``, is checked to still carry that spectrum."""
     spec = np.sort(np.asarray(eigenvalues, dtype=np.float64))
     if spec.ndim != 1 or spec.size < 1:
         raise ValueError("eigenvalues must be a nonempty 1-d sequence")
@@ -449,7 +497,9 @@ def union_lie() -> Realization:
     def decode(obj):
         if not isinstance(obj, dict) or "part" not in obj or "value" not in obj:
             raise ValueError('union element JSON needs "part" and "value"')
-        return UnionElement(obj["part"], obj["value"])
+        part, value = obj["part"], obj["value"]
+        check = _json_number if part == "algebra" else _json_vector
+        return UnionElement(part, check(value, "union element JSON 'value'"))
 
     def encode(e: UnionElement):
         value = e.value if e.part == "algebra" else [float(c) for c in e.value]
@@ -475,10 +525,15 @@ def corrupted_flow(dim: int = 3) -> Realization:
     the command line.
     """
     dim = _check_dim(dim)
+
+    def op(x, t, y):
+        out = y + 1e-3 * x
+        return out if type(t) is float or not isinstance(t, np.ndarray) else _per_time(t, out)
+
     return Realization(
         name="corrupted",
         carrier=f"{dim}-vectors under a deliberately broken operation",
-        op=lambda x, t, y: y + 1e-3 * x,
+        op=op,
         sample=lambda rng: rng.uniform(-1.0, 1.0, size=dim),
         default_tolerance=1e-8,
         **_vector_codec(dim),

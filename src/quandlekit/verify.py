@@ -4,7 +4,9 @@ integration, and the fixes-each-other equivalence check.
 Everything here is driven by a `Realization` record and a seed; reports are
 deterministic given both.  Residuals are measured in the realization's own
 metric, and a sample that overflows or raises inside the operation is scored
-as an infinite residual rather than an exception.
+as an infinite residual rather than an exception.  The engines that return
+points (flows and brackets) instead refuse to return a non-finite one: they
+raise an ``ArithmeticError`` naming the engine and the time t.
 """
 
 from __future__ import annotations
@@ -134,6 +136,12 @@ class NoetherSummary:
         }
 
 
+def _finite(value) -> float:
+    """A residual as a float, anything non-finite (nan too) as inf."""
+    value = float(value)
+    return value if math.isfinite(value) else math.inf
+
+
 def _guarded(fn) -> float:
     """Score a residual computation; numerical breakdown counts as inf."""
     try:
@@ -235,7 +243,13 @@ def numeric_bracket(r: Realization, x, y, h: float = DEFAULT_STEP):
         raise ValueError(f"{r.name} has no time parameter to differentiate")
     if not r.vector_carrier:
         raise ValueError(f"{r.name} elements do not support difference quotients")
-    return (r.op(x, h, y) - r.op(x, -h, y)) / (2.0 * h)
+    try:
+        quotient = (r.op(x, h, y) - r.op(x, -h, y)) / (2.0 * h)
+    except ArithmeticError as exc:
+        raise ArithmeticError(f"numeric_bracket at t = +/-{h!r}: {exc}") from exc
+    if not np.isfinite(quotient).all():
+        raise ArithmeticError(f"numeric_bracket at t = +/-{h!r}: non-finite result")
+    return quotient
 
 
 def integrate_flow(r: Realization, x, y, t_end: float, steps: int) -> Trajectory:
@@ -258,19 +272,25 @@ def integrate_flow(r: Realization, x, y, t_end: float, steps: int) -> Trajectory
     times = [0.0]
     points = [np.asarray(y, dtype=np.complex128)]
     cur = points[0]
-    for k in range(1, steps + 1):
-        k1 = field(cur)
-        k2 = field(cur + 0.5 * h * k1)
-        k3 = field(cur + 0.5 * h * k2)
-        k4 = field(cur + h * k3)
-        cur = cur + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        times.append(k * h)
-        points.append(cur)
+    # Overflow raises at the step it happens in, before a non-finite state
+    # can reach the next field evaluation.
+    with np.errstate(over="raise", invalid="raise"):
+        for k in range(1, steps + 1):
+            try:
+                k1 = field(cur)
+                k2 = field(cur + 0.5 * h * k1)
+                k3 = field(cur + 0.5 * h * k2)
+                k4 = field(cur + h * k3)
+                cur = cur + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+            except FloatingPointError as exc:
+                raise ArithmeticError(f"integrate_flow at t = {k * h!r}: {exc}") from exc
+            times.append(k * h)
+            points.append(cur)
     return Trajectory(tuple(times), tuple(points), r.name, x, y)
 
 
 def sample_flow(r: Realization, x, y, t_end: float, steps: int) -> Trajectory:
-    """Closed-form trajectory: evaluate the realization's own op on a grid."""
+    """Closed-form trajectory: the realization's own op on a grid, in one call."""
     if not r.family:
         raise ValueError(f"{r.name} has no time parameter to flow along")
     steps = int(steps)
@@ -280,8 +300,17 @@ def sample_flow(r: Realization, x, y, t_end: float, steps: int) -> Trajectory:
     if not t_end > 0:
         raise ValueError("t_end must be positive")
     times = [k * t_end / steps for k in range(steps + 1)]
-    points = [y if k == 0 else r.op(x, times[k], y) for k in range(steps + 1)]
-    return Trajectory(tuple(times), tuple(points), r.name, x, y)
+    try:
+        flow = r.op(x, np.array(times[1:]), y)
+    except ArithmeticError as exc:
+        raise ArithmeticError(f"sample_flow at t in [{times[1]!r}, {t_end!r}]: {exc}") from exc
+    # Union elements are checked finite when they are built.
+    if isinstance(flow, np.ndarray):
+        finite = np.isfinite(flow).reshape(steps, -1).all(axis=1)
+        if not finite.all():
+            t = times[1 + int(np.argmin(finite))]
+            raise ArithmeticError(f"sample_flow at t = {t!r}: non-finite result")
+    return Trajectory(tuple(times), (y, *flow), r.name, x, y)
 
 
 def write_trajectory_csv(traj: Trajectory, r: Realization, stream) -> None:
@@ -306,8 +335,9 @@ def noether_check(
     """Decide both directions of "one element's whole flow fixes the other".
 
     Sampled mode evaluates the flow on an evenly spaced grid of t_samples
-    points in [-t_max, t_max]; bracket mode tests whether the analytic
-    bracket vanishes (a grid-free criterion, available where a bracket is).
+    points in [-t_max, t_max], one op call per direction; bracket mode tests
+    whether the analytic bracket vanishes (a grid-free criterion, available
+    where a bracket is).
     """
     if not r.family:
         raise ValueError(f"{r.name} has no flow to test for fixing")
@@ -317,7 +347,7 @@ def noether_check(
         grid = np.linspace(-t_max, t_max, t_samples)
 
         def direction(a, b) -> float:
-            return max(_guarded(lambda: r.metric(r.op(a, float(t), b), b)) for t in grid)
+            return _guarded(lambda: max(_finite(r.metric(p, b)) for p in r.op(a, grid, b)))
 
         res_xy = direction(x, y)
         res_yx = direction(y, x)

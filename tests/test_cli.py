@@ -243,6 +243,37 @@ def test_bracket_union_unsupported(capsys, tmp_path):
     assert code == 2 and "error:" in err
 
 
+@pytest.mark.parametrize("scale, argv, stage", [
+    # e^{±400t} overflows in the product past t ~ 0.9, in expm past t ~ 1.8
+    (400.0, ["flow", "--t-end", "1.5"], "sample_flow at t = 0.9"),
+    (400.0, ["flow", "--t-end", "3"], "sample_flow"),
+    (400.0, ["flow", "--t-end", "3", "--method", "rk4"], "integrate_flow"),
+    (400.0, ["bracket", "--h", "1"], "numeric_bracket"),
+    # the Frobenius norm of X itself overflows
+    (1e200, ["flow"], "sample_flow"),
+    (1e200, ["bracket"], "numeric_bracket"),
+])
+def test_non_finite_output_exits_two(capsys, tmp_path, scale, argv, stage):
+    x = write_json(tmp_path / "x.json", qk.matrix_to_json(scale * qk.PAULI_Z))
+    y = write_json(tmp_path / "y.json", qk.matrix_to_json(qk.PAULI_X))
+    with np.errstate(over="ignore", invalid="ignore"):
+        code, out, err = run_cli(capsys, *argv, "--realization", "matrix-general",
+                                 "--x", x, "--y", y)
+    assert code == 2
+    assert out == ""
+    assert f"error: {stage}" in err
+    assert "non-finite entries" not in err
+
+
+def test_flow_refuses_coerced_vector(capsys, tmp_path):
+    x = write_json(tmp_path / "x.json", [0, 0, True])
+    y = write_json(tmp_path / "y.json", [1.0, 0.0, 0.0])
+    code, out, err = run_cli(capsys, "flow", "--realization", "bloch", "--x", x, "--y", y)
+    assert code == 2
+    assert out == ""
+    assert "vector JSON entry must be a number, got True" in err
+
+
 # ---------------------------------------------------------------------------
 # entry point
 

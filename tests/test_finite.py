@@ -97,6 +97,28 @@ def test_magma_table_validation():
         qk.MagmaTable(order=3, table=((0, 0), (1, 1)))
 
 
+@pytest.mark.parametrize("rows", [
+    [[0, 1.9], [True, "1"]],
+    [[0, 1], [True, 0]],
+    [[0, 1], [1, 0.0]],
+    [[0, "1"], [1, 0]],
+    [[0, 1], [np.True_, 0]],
+    [[0, np.float64(1.0)], [1, 0]],
+])
+def test_from_rows_refuses_non_integers(rows):
+    with pytest.raises(ValueError, match="integers only"):
+        qk.MagmaTable.from_rows(rows)
+    with pytest.raises(ValueError, match="integers only"):
+        qk.GroupTable.from_rows(rows)
+
+
+def test_from_rows_accepts_numpy_integers():
+    rows = np.array([[0, 2, 1], [2, 1, 0], [1, 0, 2]], dtype=np.int8)
+    m = qk.MagmaTable.from_rows(rows)
+    assert m == qk.MagmaTable.from_rows(CYCLIC3)
+    assert all(type(v) is int for row in m.table for v in row)
+
+
 def test_magma_json_round_trip():
     m = qk.MagmaTable.from_rows(CYCLIC3)
     assert qk.MagmaTable.from_json(m.to_json()) == m

@@ -7,6 +7,7 @@ residuals and the Hermiticity gate.
 """
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -155,6 +156,17 @@ def test_expm_inverse_by_negation(dim):
 def test_expm_rejects_non_finite():
     with pytest.raises(ValueError):
         qk.expm([[np.inf, 0], [0, 0]])
+
+
+@pytest.mark.parametrize("x, norm", [
+    (np.diag([800.0, -800.0]), "8.000e+02"),        # the result overflows
+    (np.diag([1e200, -1e200]), "1.000e+200"),       # so does the Frobenius norm
+    (np.stack([np.zeros((2, 2)), np.diag([800.0, 0.0])]), "8.000e+02"),
+])
+def test_expm_overflow_names_input_norm(x, norm):
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(OverflowError, match=re.escape(f"input norm {norm}")):
+            qk.expm(x)
 
 
 # ---------------------------------------------------------------------------

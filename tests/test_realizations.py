@@ -118,6 +118,20 @@ def test_bloch_decode_requires_unit_vector():
         r.decode([1.0, 0.0])
 
 
+@pytest.mark.parametrize("r", [qk.bloch(), qk.convex_flow(3), qk.convex_spindle(0.5, 3)],
+                         ids=lambda r: r.name)
+@pytest.mark.parametrize("bad", [
+    [1, True, "2"],
+    [0, 0, True],
+    [0.0, "1", 0.0],
+    [0.0, None, 1.0],
+    [0.0, [1.0], 0.0],
+])
+def test_vector_decode_refuses_non_numbers(r, bad):
+    with pytest.raises(ValueError, match="vector JSON entry must be a number"):
+        r.decode(bad)
+
+
 # ---------------------------------------------------------------------------
 # embedding
 
@@ -341,6 +355,19 @@ def test_union_metric_and_codec():
     assert round_p.part == "space" and np.allclose(round_p.value, p.value)
     with pytest.raises(ValueError):
         r.decode({"part": "algebra"})
+
+
+@pytest.mark.parametrize("bad", [
+    {"part": "algebra", "value": True},
+    {"part": "algebra", "value": "0.5"},
+    {"part": "algebra", "value": [0.5]},
+    {"part": "space", "value": [1.0, "2"]},
+    {"part": "space", "value": [False, 1.0]},
+    {"part": "space", "value": [1.0, None]},
+])
+def test_union_decode_refuses_non_numbers(bad):
+    with pytest.raises(ValueError, match="union element JSON 'value'"):
+        qk.union_lie().decode(bad)
 
 
 def test_union_sampler_produces_both_parts():
