@@ -12,7 +12,10 @@ from __future__ import annotations
 
 import operator
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import permutations, product
+
+import numpy as np
 
 Row = tuple[int, ...]
 Table = tuple[Row, ...]
@@ -27,7 +30,10 @@ MAX_ORDER = {"shelf": 3, "spindle": 3, "quandle": 5}
 def _freeze_row(i: int, row) -> Row:
     """Row i as a tuple of ints; Python and numpy integers only, so bools,
     floats and strings are refused rather than truncated or parsed."""
-    row = tuple(row)
+    try:
+        row = tuple(row)
+    except TypeError:
+        raise ValueError(f"table row {i} must hold integers only, got {row!r}") from None
     if bool not in map(type, row):
         try:
             return tuple(map(operator.index, row))
@@ -419,9 +425,58 @@ def relabel_table(table: Table, perm: Row) -> Table:
     return tuple(tuple(r) for r in out)
 
 
+# canonical_form gathers relabelings in blocks that fix the images of all but
+# the last _FREE_LABELS labels, so no block holds more than 6! = 720 of them.
+_FREE_LABELS = 6
+
+
+@lru_cache(maxsize=None)
+def _permutation_stack(m: int) -> tuple[np.ndarray, np.ndarray]:
+    """All permutations of range(m), one per row, and their inverses."""
+    perms = np.array(list(permutations(range(m))), dtype=np.intp).reshape(-1, m)
+    inverses = np.empty_like(perms)
+    inverses[np.arange(len(perms))[:, None], perms] = np.arange(m)
+    return perms, inverses
+
+
 def canonical_form(m: MagmaTable) -> Table:
-    """Lexicographically least table among all relabelings."""
-    return min(relabel_table(m.table, p) for p in permutations(range(m.order)))
+    """Lexicographically least table among all relabelings.
+
+    Every one of the n! relabelings is tried, block by block: each relabeled
+    table is packed row-major into base-n int64 words, so one lexsort per
+    block finds that block's least table.
+    """
+    n = m.order
+    table = np.array(m.table, dtype=np.min_scalar_type(n)).ravel()
+    free = min(n, _FREE_LABELS)
+    stack, stack_inv = _permutation_stack(free)
+    size = len(stack)
+    # The most base-n digits one non-negative int64 holds.
+    digits = min(n * n, max(d for d in range(1, n * n + 1) if n ** d <= 2 ** 63))
+    words = -(-n * n // digits)
+    weights = np.array([n ** e for e in range(digits - 1, -1, -1)], dtype=np.int64)
+    row_starts = (np.arange(size) * n)[:, None]
+    perm = np.empty((size, n), dtype=np.intp)
+    inv = np.empty((size, n), dtype=np.intp)
+    # Zero-padded to whole words; a common padding leaves the order unchanged.
+    relabeled = np.zeros((size, words * digits), dtype=np.int64)
+    best_key, best = None, None
+    for prefix in permutations(range(n), n - free):
+        # perm[k] sends old label x to perm[k, x]; the relabeled table at
+        # (a, b) is perm[k] of the old entry at (inv[k, a], inv[k, b]).
+        rest = sorted(set(range(n)) - set(prefix))
+        perm[:, : n - free] = prefix
+        perm[:, n - free :] = np.asarray(rest, dtype=np.intp)[stack]
+        inv[:, list(prefix)] = np.arange(n - free)
+        inv[:, rest] = (n - free) + stack_inv
+        old = table.take((inv * n)[:, :, None] + inv[:, None, :]).reshape(size, n * n)
+        relabeled[:, : n * n] = perm.take(old + row_starts)
+        codes = relabeled.reshape(size, words, digits) @ weights
+        k = np.lexsort(codes.T[::-1])[0]
+        key = codes[k].tolist()
+        if best_key is None or key < best_key:
+            best_key, best = key, relabeled[k, : n * n].tolist()
+    return tuple(tuple(best[x * n : (x + 1) * n]) for x in range(n))
 
 
 def _row_candidates(order: int, kind: str, i: int) -> list[Row]:
@@ -482,6 +537,14 @@ def enumerate_tables(order: int, kind: str, up_to_iso: bool = False) -> list[Mag
 
     descend(0)
     if up_to_iso:
-        reps = sorted({canonical_form(MagmaTable.from_rows(t)) for t in found})
-        return [MagmaTable.from_rows(t) for t in reps]
+        # ``found`` is sorted and closed under relabeling, so the first table
+        # met of each orbit is its least one; the rest of the orbit is marked
+        # seen, and canonicalization runs once per class, not once per table.
+        reps: list[Table] = []
+        seen: set[Table] = set()
+        for t in found:
+            if t not in seen:
+                reps.append(t)
+                seen.update(relabel_table(t, p) for p in permutations(range(order)))
+        found = reps
     return [MagmaTable.from_rows(t) for t in found]

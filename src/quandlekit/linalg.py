@@ -79,27 +79,30 @@ def expm(x) -> np.ndarray:
     squared s times.  A stack ``(..., n, n)`` is exponentiated member by
     member in one pass, every member scaled by the s of the largest norm.
     Raises ``OverflowError``, naming the input's max-abs norm, when the
-    result does not fit in double precision.
+    result does not fit in double precision, whatever ``np.errstate`` says.
     """
     x = as_matrix(x)
-    if x.ndim == 2:  # the plain call is the cheaper one for one matrix
-        norm = float(np.linalg.norm(x))
-    else:
-        norm = float(np.max(np.linalg.norm(x, axis=(-2, -1))))
-    if math.isfinite(norm):
-        eye = np.eye(x.shape[-1], dtype=complex)
-        squarings = 0
-        scaled = x
-        if norm > 0.5:
-            squarings = int(math.ceil(math.log2(norm))) + 1
-            scaled = x / (2.0**squarings)
-        acc = eye.copy()
-        for k in range(_EXPM_TAYLOR_TERMS, 0, -1):
-            acc = eye + (scaled @ acc) / k
-        for _ in range(squarings):
-            acc = acc @ acc
-        if norm <= _EXPM_SAFE_NORM or np.isfinite(acc).all():
-            return acc
+    try:
+        if x.ndim == 2:  # the plain call is the cheaper one for one matrix
+            norm = float(np.linalg.norm(x))
+        else:
+            norm = float(np.max(np.linalg.norm(x, axis=(-2, -1))))
+        if math.isfinite(norm):
+            eye = np.eye(x.shape[-1], dtype=complex)
+            squarings = 0
+            scaled = x
+            if norm > 0.5:
+                squarings = int(math.ceil(math.log2(norm))) + 1
+                scaled = x / (2.0**squarings)
+            acc = eye.copy()
+            for k in range(_EXPM_TAYLOR_TERMS, 0, -1):
+                acc = eye + (scaled @ acc) / k
+            for _ in range(squarings):
+                acc = acc @ acc
+            if norm <= _EXPM_SAFE_NORM or np.isfinite(acc).all():
+                return acc
+    except FloatingPointError:  # an overflow, under np.errstate(over="raise")
+        pass
     raise OverflowError(f"matrix exponential overflows: input norm {max_abs(x):.3e}")
 
 

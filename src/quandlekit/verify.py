@@ -244,7 +244,8 @@ def numeric_bracket(r: Realization, x, y, h: float = DEFAULT_STEP):
     if not r.vector_carrier:
         raise ValueError(f"{r.name} elements do not support difference quotients")
     try:
-        quotient = (r.op(x, h, y) - r.op(x, -h, y)) / (2.0 * h)
+        with np.errstate(over="raise", invalid="raise"):
+            quotient = (r.op(x, h, y) - r.op(x, -h, y)) / (2.0 * h)
     except ArithmeticError as exc:
         raise ArithmeticError(f"numeric_bracket at t = +/-{h!r}: {exc}") from exc
     if not np.isfinite(quotient).all():
@@ -300,10 +301,19 @@ def sample_flow(r: Realization, x, y, t_end: float, steps: int) -> Trajectory:
     if not t_end > 0:
         raise ValueError("t_end must be positive")
     times = [k * t_end / steps for k in range(steps + 1)]
-    try:
-        flow = r.op(x, np.array(times[1:]), y)
-    except ArithmeticError as exc:
-        raise ArithmeticError(f"sample_flow at t in [{times[1]!r}, {t_end!r}]: {exc}") from exc
+    with np.errstate(over="raise", invalid="raise"):
+        try:
+            flow = r.op(x, np.array(times[1:]), y)
+        except ArithmeticError as exc:
+            # One bad t fails the whole batch; name the first one.
+            for t in times[1:]:
+                try:
+                    point = r.op(x, t, y)
+                except ArithmeticError as point_exc:
+                    raise ArithmeticError(f"sample_flow at t = {t!r}: {point_exc}") from exc
+                if isinstance(point, np.ndarray) and not np.isfinite(point).all():
+                    raise ArithmeticError(f"sample_flow at t = {t!r}: non-finite result") from exc
+            raise ArithmeticError(f"sample_flow at t in [{times[1]!r}, {t_end!r}]: {exc}") from exc
     # Union elements are checked finite when they are built.
     if isinstance(flow, np.ndarray):
         finite = np.isfinite(flow).reshape(steps, -1).all(axis=1)

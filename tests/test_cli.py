@@ -265,6 +265,27 @@ def test_non_finite_output_exits_two(capsys, tmp_path, scale, argv, stage):
     assert "non-finite entries" not in err
 
 
+@pytest.mark.parametrize("argv, stage", [
+    (["flow", "--t-end", "1.5"], "sample_flow at t = 0.9"),
+    (["flow", "--t-end", "3"], "sample_flow at t = 0.9"),
+    (["bracket", "--h", "1"], "numeric_bracket at t = +/-1.0"),
+])
+def test_overflow_prints_only_the_error_line(tmp_path, argv, stage):
+    # A separate process: in process, pytest would capture the numpy
+    # RuntimeWarnings before they reach stderr.
+    x = write_json(tmp_path / "x.json", qk.matrix_to_json(400.0 * qk.PAULI_Z))
+    y = write_json(tmp_path / "y.json", qk.matrix_to_json(qk.PAULI_X))
+    proc = subprocess.run(
+        [sys.executable, "-m", "quandlekit.cli", *argv, "--realization", "matrix-general",
+         "--x", x, "--y", y],
+        capture_output=True, text=True, timeout=60,
+    )
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    [line] = proc.stderr.splitlines()
+    assert line.startswith(f"error: {stage}: ")
+
+
 def test_flow_refuses_coerced_vector(capsys, tmp_path):
     x = write_json(tmp_path / "x.json", [0, 0, True])
     y = write_json(tmp_path / "y.json", [1.0, 0.0, 0.0])

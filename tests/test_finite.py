@@ -12,6 +12,8 @@ from itertools import permutations, product
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import quandlekit as qk
 
@@ -104,6 +106,7 @@ def test_magma_table_validation():
     [[0, "1"], [1, 0]],
     [[0, 1], [np.True_, 0]],
     [[0, np.float64(1.0)], [1, 0]],
+    [[0, 1], 10],
 ])
 def test_from_rows_refuses_non_integers(rows):
     with pytest.raises(ValueError, match="integers only"):
@@ -440,6 +443,66 @@ def test_canonical_form_is_relabeling_invariant():
     for p in permutations(range(3)):
         relabeled = qk.MagmaTable.from_rows(qk.relabel_table(m.table, p))
         assert qk.canonical_form(relabeled) == canon
+
+
+def dihedral_quandle(n):
+    return qk.MagmaTable.from_rows([[(2 * x - y) % n for y in range(n)] for x in range(n)])
+
+
+def union_z4_on_3():
+    """Z4 on three points, the generator swapping the first two."""
+    swap = [[0, 1, 2], [1, 0, 2]]
+    spec = qk.UnionQuandleSpec(qk.cyclic_group(4), 3, [swap[g % 2] for g in range(4)])
+    return qk.union_quandle(spec)
+
+
+def test_canonical_form_matches_oracle_on_small_tables():
+    tables = [m for n in range(1, 5) for m in qk.enumerate_tables(n, "quandle")]
+    # shelves and spindles cover non-idempotent, non-bijective tables
+    tables += qk.enumerate_tables(3, "shelf") + qk.enumerate_tables(3, "spindle")
+    for m in tables:
+        assert qk.canonical_form(m) == oracle_canonical(m.table)
+
+
+@pytest.mark.parametrize("name, m", [
+    ("conj Z5", qk.conjugation_quandle(qk.cyclic_group(5))),
+    ("dihedral 5", dihedral_quandle(5)),
+    ("conj S3", qk.conjugation_quandle(qk.symmetric_group(3))),
+    ("dihedral 6", dihedral_quandle(6)),
+    # trivial: every relabeling ties for least
+    ("conj Z7", qk.conjugation_quandle(qk.cyclic_group(7))),
+    ("dihedral 7", dihedral_quandle(7)),
+    ("union Z4 on 3", union_z4_on_3()),
+])
+def test_canonical_form_matches_oracle_on_relabelings(name, m):
+    rng = np.random.default_rng(7)
+    relabeled = qk.relabel_table(m.table, tuple(rng.permutation(m.order).tolist()))
+    canon = qk.canonical_form(qk.MagmaTable.from_rows(relabeled))
+    assert canon == oracle_canonical(relabeled) == oracle_canonical(m.table)
+    assert all(type(v) is int for row in canon for v in row)
+
+
+def test_quandle5_classes_match_oracle_canonical_forms():
+    labeled = qk.enumerate_tables(5, "quandle")
+    oracle = sorted({oracle_canonical(m.table) for m in labeled})
+    assert [m.table for m in qk.enumerate_tables(5, "quandle", up_to_iso=True)] == oracle
+
+
+@st.composite
+def tables_and_relabelings(draw):
+    n = draw(st.integers(min_value=1, max_value=7))
+    cells = st.integers(min_value=0, max_value=n - 1)
+    rows = draw(st.lists(st.lists(cells, min_size=n, max_size=n), min_size=n, max_size=n))
+    return qk.MagmaTable.from_rows(rows), tuple(draw(st.permutations(range(n))))
+
+
+@settings(max_examples=60, deadline=None)
+@given(tables_and_relabelings())
+def test_canonical_form_is_least_and_relabeling_invariant(case):
+    m, perm = case
+    canon = qk.canonical_form(m)
+    relabeled = qk.MagmaTable.from_rows(qk.relabel_table(m.table, perm))
+    assert qk.canonical_form(relabeled) == canon <= m.table
 
 
 def test_enumeration_guards():

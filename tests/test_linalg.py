@@ -158,13 +158,23 @@ def test_expm_rejects_non_finite():
         qk.expm([[np.inf, 0], [0, 0]])
 
 
-@pytest.mark.parametrize("x, norm", [
+OVERFLOWING = [
     (np.diag([800.0, -800.0]), "8.000e+02"),        # the result overflows
     (np.diag([1e200, -1e200]), "1.000e+200"),       # so does the Frobenius norm
     (np.stack([np.zeros((2, 2)), np.diag([800.0, 0.0])]), "8.000e+02"),
-])
+]
+
+
+@pytest.mark.parametrize("x, norm", OVERFLOWING)
 def test_expm_overflow_names_input_norm(x, norm):
     with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(OverflowError, match=re.escape(f"input norm {norm}")):
+            qk.expm(x)
+
+
+@pytest.mark.parametrize("x, norm", OVERFLOWING)
+def test_expm_overflow_names_input_norm_when_numpy_raises(x, norm):
+    with np.errstate(over="raise", invalid="raise"):
         with pytest.raises(OverflowError, match=re.escape(f"input norm {norm}")):
             qk.expm(x)
 
