@@ -11,7 +11,7 @@ filtering.
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass
+from dataclasses import InitVar, dataclass
 from functools import lru_cache
 from itertools import permutations, product
 
@@ -27,23 +27,24 @@ KINDS = ("shelf", "spindle", "quandle")
 MAX_ORDER = {"shelf": 3, "spindle": 3, "quandle": 5}
 
 
-def _freeze_row(i: int, row) -> Row:
+def _freeze_row(i: int, row, what: str) -> Row:
     """Row i as a tuple of ints; Python and numpy integers only, so bools,
-    floats and strings are refused rather than truncated or parsed."""
+    floats and strings are refused rather than truncated or parsed.  ``what``
+    names the table in the message."""
     try:
         row = tuple(row)
     except TypeError:
-        raise ValueError(f"table row {i} must hold integers only, got {row!r}") from None
+        raise ValueError(f"{what} row {i} must hold integers only, got {row!r}") from None
     if bool not in map(type, row):
         try:
             return tuple(map(operator.index, row))
         except TypeError:
             pass
-    raise ValueError(f"table row {i} must hold integers only, got {list(row)!r}")
+    raise ValueError(f"{what} row {i} must hold integers only, got {list(row)!r}")
 
 
-def _freeze_table(rows, order: int | None = None) -> Table:
-    table = tuple(_freeze_row(i, row) for i, row in enumerate(rows))
+def _freeze_table(rows, order: int | None = None, what: str = "table") -> Table:
+    table = tuple(_freeze_row(i, row, what) for i, row in enumerate(rows))
     n = len(table)
     if order is not None and order != n:
         raise ValueError(f"declared order {order} but table has {n} rows")
@@ -66,15 +67,16 @@ def _json_int(value, what: str) -> int:
 
 
 def _rows_from_json(obj, kind: str) -> tuple[list, int]:
-    """The ``table`` rows and declared ``order`` of a table JSON object."""
+    """The ``table`` rows and declared ``order`` of a table JSON object.
+
+    The entries are left to ``_freeze_table``, to be checked there once,
+    under the name ``f"{kind} JSON 'table'"``.
+    """
     if not isinstance(obj, dict) or "table" not in obj:
         raise ValueError(f"{kind} JSON must be an object with a 'table' key")
     rows = obj["table"]
     if not isinstance(rows, list) or not all(isinstance(row, list) for row in rows):
         raise ValueError(f"{kind} JSON 'table' must be a list of rows")
-    for i, row in enumerate(rows):
-        for v in row:
-            _json_int(v, f"{kind} JSON 'table' entry in row {i}")
     return rows, _json_int(obj.get("order", len(rows)), f"{kind} JSON 'order'")
 
 
@@ -84,14 +86,16 @@ class MagmaTable:
 
     order: int
     table: Table
+    # What error messages call the table, e.g. the JSON field it was read from.
+    source: InitVar[str] = "table"
 
     @classmethod
     def from_rows(cls, rows) -> "MagmaTable":
         rows = tuple(rows)
         return cls(order=len(rows), table=rows)
 
-    def __post_init__(self):
-        object.__setattr__(self, "table", _freeze_table(self.table, self.order))
+    def __post_init__(self, source: str):
+        object.__setattr__(self, "table", _freeze_table(self.table, self.order, source))
 
     def __call__(self, x: int, y: int) -> int:
         return self.table[x][y]
@@ -102,7 +106,7 @@ class MagmaTable:
     @classmethod
     def from_json(cls, obj) -> "MagmaTable":
         rows, order = _rows_from_json(obj, "table")
-        return cls(order=order, table=rows)
+        return cls(order=order, table=rows, source="table JSON 'table'")
 
 
 @dataclass(frozen=True)
@@ -257,7 +261,7 @@ class GroupTable:
     @classmethod
     def from_json(cls, obj) -> "GroupTable":
         rows, order = _rows_from_json(obj, "group")
-        g = cls.from_rows(_freeze_table(rows, order))
+        g = cls.from_rows(_freeze_table(rows, order, "group JSON 'table'"))
         identity = _json_int(obj.get("identity", g.identity), "group JSON 'identity'")
         if identity != g.identity:
             raise ValueError(f"declared identity {identity} but table identity is {g.identity}")

@@ -8,8 +8,6 @@ Tolerances throughout are stated in the max-abs entry norm ``max_abs``.
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
 
 MAX_DIM = 16
@@ -76,30 +74,35 @@ def expm(x) -> np.ndarray:
 
     The argument is scaled by 2**-s until its Frobenius norm is at most 1/2,
     the series is summed to 18 terms by Horner evaluation, and the result is
-    squared s times.  A stack ``(..., n, n)`` is exponentiated member by
-    member in one pass, every member scaled by the s of the largest norm.
-    Raises ``OverflowError``, naming the input's max-abs norm, when the
-    result does not fit in double precision, whatever ``np.errstate`` says.
+    squared s times.  A stack ``(..., n, n)`` is exponentiated in one pass
+    with an s of its own for every member, so each member comes out exactly
+    as it would alone.  Raises ``OverflowError``, naming the input's max-abs
+    norm, when the result does not fit in double precision, whatever
+    ``np.errstate`` says.
     """
     x = as_matrix(x)
     try:
-        if x.ndim == 2:  # the plain call is the cheaper one for one matrix
-            norm = float(np.linalg.norm(x))
-        else:
-            norm = float(np.max(np.linalg.norm(x, axis=(-2, -1))))
-        if math.isfinite(norm):
+        norm = np.linalg.norm(x, axis=(-2, -1))
+        if np.isfinite(norm).all():
+            # s = ceil(log2(norm)) + 1 above norm 1/2, else 0, read off the
+            # binary exponent exactly.
+            mantissa, exponent = np.frexp(norm)
+            squarings = np.maximum(exponent + (mantissa > 0.5), 0)
+            scaled = x * np.ldexp(1.0, -squarings)[..., None, None]
             eye = np.eye(x.shape[-1], dtype=complex)
-            squarings = 0
-            scaled = x
-            if norm > 0.5:
-                squarings = int(math.ceil(math.log2(norm))) + 1
-                scaled = x / (2.0**squarings)
-            acc = eye.copy()
+            acc = eye
             for k in range(_EXPM_TAYLOR_TERMS, 0, -1):
                 acc = eye + (scaled @ acc) / k
-            for _ in range(squarings):
-                acc = acc @ acc
-            if norm <= _EXPM_SAFE_NORM or np.isfinite(acc).all():
+            # Only the members still owed a squaring are squared, so none
+            # can overflow on squarings it does not need.
+            for i in range(int(squarings.max())):
+                owed = squarings > i
+                if owed.all():
+                    acc = acc @ acc
+                else:
+                    sub = acc[owed]
+                    acc[owed] = sub @ sub
+            if norm.max() <= _EXPM_SAFE_NORM or np.isfinite(acc).all():
                 return acc
     except FloatingPointError:  # an overflow, under np.errstate(over="raise")
         pass
@@ -109,15 +112,18 @@ def expm(x) -> np.ndarray:
 def conjugate_by_exp(x, t, y) -> np.ndarray:
     """e^{tX} Y e^{-tX}, the inverse taken by negating the exponent.
 
-    No explicit matrix inverse is ever formed.  A 1-d array of t gives the
-    stack ``(len(t), n, n)`` of the conjugates, one per t.
+    No explicit matrix inverse is ever formed.  t is a float or an array
+    that broadcasts against the stack shape of x: a 1-d t with one matrix x
+    gives the stack ``(len(t), n, n)`` of the conjugates, one per t, and a
+    length-N t with stacks of N matrices x (and y) conjugates member by
+    member.
     """
     x = as_matrix(x)
     y = as_matrix(y)
-    if x.shape != y.shape:
-        raise ValueError(f"dimension mismatch: {x.shape[0]} vs {y.shape[0]}")
-    scale = np.multiply.outer if isinstance(t, np.ndarray) else np.multiply
-    return expm(scale(t, x)) @ y @ expm(scale(-t, x))
+    if x.shape[-1] != y.shape[-1]:
+        raise ValueError(f"dimension mismatch: {x.shape[-1]} vs {y.shape[-1]}")
+    tx = np.asarray(t)[..., None, None] * x
+    return expm(tx) @ y @ expm(-tx)
 
 
 def eigh(a) -> tuple[np.ndarray, np.ndarray]:

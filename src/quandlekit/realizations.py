@@ -51,11 +51,15 @@ class Realization:
     or a 1-d numpy array; an array evaluates the whole flow in one call and
     returns a sequence of ``len(t)`` elements, the k-th being x acting on y
     for time ``t[k]``: a ``(T, n, n)`` stack on matrix carriers, a
-    ``(T, d)`` array on vector carriers, a tuple on the union.  ``metric``
-    is the distance all tolerances refer to.  ``vector_carrier`` says whether
-    elements subtract and divide by scalars (needed for difference
-    quotients).  ``generator`` maps an element to the plain-convention matrix
-    generator of its flow, when one exists.
+    ``(T, d)`` array on vector carriers, a tuple on the union.  x and/or y
+    may also be stacks of N elements in that same form, with a length-N t:
+    the k-th output is then ``x[k]`` acting on ``y[k]`` for time ``t[k]``,
+    a single x or y acting or acted on throughout.  ``metric`` is the
+    distance all tolerances refer to; given two stacks of N elements (or a
+    stack and one element) it returns the N distances member by member.
+    ``vector_carrier`` says whether elements subtract and divide by scalars
+    (needed for difference quotients).  ``generator`` maps an element to the
+    plain-convention matrix generator of its flow, when one exists.
     """
 
     name: str
@@ -95,7 +99,7 @@ class UnionElement:
                 raise ValueError("algebra value must be finite")
         else:
             value = np.asarray(value, dtype=np.float64)
-            if value.shape != (2,) or not np.all(np.isfinite(value)):
+            if value.shape != (2,) or not np.isfinite(value).all():
                 raise ValueError("space value must be a finite 2-vector")
         object.__setattr__(self, "part", part)
         object.__setattr__(self, "value", value)
@@ -111,16 +115,9 @@ class UnionElement:
 # raw operations
 
 
-# The ops below branch on ``type(t) is float`` before ``isinstance``: a float
-# t is the axiom checks' hot path, and on the cheapest ops the isinstance
-# test alone would cost some 5%.
-
-
-def _per_time(t, value):
-    """``value`` once per time of the array t: the flow of a fixed point."""
-    if isinstance(value, UnionElement):
-        return (value,) * len(t)
-    return np.repeat(value[None], len(t), axis=0)
+def _fixed_flow(t, value: np.ndarray) -> np.ndarray:
+    """``value`` once per time of t: the flow of a t-independent operation."""
+    return np.broadcast_to(value, np.shape(t) + value.shape[-1:])
 
 
 def op_matrix_skew(x: np.ndarray, t, y: np.ndarray) -> np.ndarray:
@@ -133,30 +130,30 @@ def op_matrix_plain(x: np.ndarray, t, y: np.ndarray) -> np.ndarray:
     return conjugate_by_exp(x, t, y)
 
 
+def _row_dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a·b along the last axis, kept as a length-1 axis.  A matmul of a row
+    by a column is a BLAS dot, so a row of a stack gets the same bits as
+    ``a @ b`` on its own."""
+    return (a[..., None, :] @ b[..., :, None])[..., 0]
+
+
 def bloch_rotate(x: np.ndarray, t, y: np.ndarray) -> np.ndarray:
     """Rotate unit vector y by angle t about axis x, right-handed.
 
     Rodrigues: y cos t + (x × y) sin t + x (x·y)(1 − cos t), renormalized so
     repeated application cannot drift off the sphere.
     """
-    if type(t) is float or not isinstance(t, np.ndarray):
-        c, s = math.cos(t), math.sin(t)
-    else:
-        c, s = np.cos(t)[:, None], np.sin(t)[:, None]
-    r = y * c + np.cross(x, y) * s + x * float(x @ y) * (1.0 - c)
-    if r.ndim > 1:
-        return r / np.linalg.norm(r, axis=1, keepdims=True)
-    return r / float(np.linalg.norm(r))
+    t = np.asarray(t)[..., None]
+    c, s = np.cos(t), np.sin(t)
+    r = y * c + np.cross(x, y) * s + x * _row_dot(x, y) * (1.0 - c)
+    return r / np.sqrt(_row_dot(r, r))
 
 
 def op_convex_flow(x: np.ndarray, t, y: np.ndarray) -> np.ndarray:
     """Exponential relaxation of y toward x: (1 − e^{−t})x + e^{−t}y."""
-    if type(t) is float or not isinstance(t, np.ndarray):
-        w = math.exp(-t)
-    else:
-        # Overflow raises, as math.exp does for one t.
-        with np.errstate(over="raise"):
-            w = np.exp(-t)[:, None]
+    # Overflow raises, as math.exp does.
+    with np.errstate(over="raise"):
+        w = np.exp(-np.asarray(t))[..., None]
     return (1.0 - w) * x + w * y
 
 
@@ -165,18 +162,25 @@ def planar_rotation(angle: float) -> np.ndarray:
     return np.array([[c, -s], [s, c]], dtype=np.float64)
 
 
-def op_union(x: UnionElement, t, y: UnionElement):
+def _union_stack(e, n: int) -> tuple:
+    """A union element repeated n times, or a stack (tuple) of n as it is."""
+    return e if isinstance(e, tuple) else (e,) * n
+
+
+def _union_act(x: UnionElement, t: float, y: UnionElement) -> UnionElement:
+    if x.part == "space" or y.part == "algebra":
+        return y
+    return UnionElement("space", planar_rotation(t * x.value) @ y.value)
+
+
+def op_union(x, t, y):
     """Three cases: space elements act trivially; the abelian algebra acts
     trivially on itself; an algebra element of scale a rotates a plane point
-    by angle t·a."""
-    if x.part == "space" or y.part == "algebra":
-        return y if type(t) is float or not isinstance(t, np.ndarray) else _per_time(t, y)
-    if type(t) is float or not isinstance(t, np.ndarray):
-        return UnionElement("space", planar_rotation(t * x.value) @ y.value)
-    angle = t * x.value
-    c, s = np.cos(angle), np.sin(angle)
-    p, q = y.value
-    return tuple(UnionElement("space", v) for v in zip(c * p - s * q, s * p + c * q))
+    by angle t·a.  Stacks are tuples, acted on member by member."""
+    if np.ndim(t) == 0:
+        return _union_act(x, t, y)
+    n = len(t)
+    return tuple(map(_union_act, _union_stack(x, n), t.tolist(), _union_stack(y, n)))
 
 
 def bloch_embedding(p: np.ndarray) -> np.ndarray:
@@ -197,20 +201,32 @@ def bloch_generator(p: np.ndarray) -> np.ndarray:
 # metrics, codecs, flatteners
 
 
-def _matrix_metric(a, b) -> float:
-    return max_abs(np.asarray(a) - np.asarray(b))
+# Each metric takes two elements, or stacks of them (one of the two may be a
+# single element), and then gives the distances member by member.
 
 
-def _euclidean_metric(a, b) -> float:
-    return float(np.linalg.norm(np.asarray(a, dtype=np.float64) - np.asarray(b, dtype=np.float64)))
+def _matrix_metric(a, b):
+    return np.max(np.abs(np.asarray(a) - np.asarray(b)), axis=(-2, -1))
 
 
-def _union_metric(a: UnionElement, b: UnionElement) -> float:
+def _euclidean_metric(a, b):
+    d = np.asarray(a, dtype=np.float64) - np.asarray(b, dtype=np.float64)
+    return np.sqrt(_row_dot(d, d))[..., 0]
+
+
+def _union_distance(a: UnionElement, b: UnionElement) -> float:
     if a.part != b.part:
         return math.inf
     if a.part == "algebra":
         return abs(a.value - b.value)
     return float(np.linalg.norm(a.value - b.value))
+
+
+def _union_metric(a, b):
+    if not isinstance(a, tuple) and not isinstance(b, tuple):
+        return _union_distance(a, b)
+    n = len(a) if isinstance(a, tuple) else len(b)
+    return np.array(list(map(_union_distance, _union_stack(a, n), _union_stack(b, n))))
 
 
 def _json_number(v, what: str):
@@ -425,8 +441,7 @@ def convex_spindle(bias: float = 0.5, dim: int = 3, body: str = "box") -> Realiz
     sampler = _sample_box if body == "box" else _sample_simplex
 
     def op(x, t, y):
-        out = (1.0 - bias) * x + bias * y
-        return out if type(t) is float or not isinstance(t, np.ndarray) else _per_time(t, out)
+        return _fixed_flow(t, (1.0 - bias) * x + bias * y)
 
     return Realization(
         name="convex-spindle",
@@ -527,8 +542,7 @@ def corrupted_flow(dim: int = 3) -> Realization:
     dim = _check_dim(dim)
 
     def op(x, t, y):
-        out = y + 1e-3 * x
-        return out if type(t) is float or not isinstance(t, np.ndarray) else _per_time(t, out)
+        return _fixed_flow(t, y + 1e-3 * x)
 
     return Realization(
         name="corrupted",

@@ -21,9 +21,6 @@ import numpy as np
 from .linalg import commutator
 from .realizations import Realization
 
-FAMILY_AXIOMS = ("self-action", "self-distributivity", "idempotency", "inverse-law")
-FIXED_AXIOMS = ("self-distributivity", "idempotency")
-
 DEFAULT_SAMPLES = 200
 DEFAULT_SEED = 42
 PARAM_RANGE = 3.0
@@ -136,12 +133,6 @@ class NoetherSummary:
         }
 
 
-def _finite(value) -> float:
-    """A residual as a float, anything non-finite (nan too) as inf."""
-    value = float(value)
-    return value if math.isfinite(value) else math.inf
-
-
 def _guarded(fn) -> float:
     """Score a residual computation; numerical breakdown counts as inf."""
     try:
@@ -149,6 +140,39 @@ def _guarded(fn) -> float:
     except ArithmeticError:
         return math.inf
     return value if math.isfinite(value) else math.inf
+
+
+def _stack(elements: list):
+    """Sampled elements as one stack: an array along a new leading axis, or
+    a tuple where elements are not arrays (the union)."""
+    return np.stack(elements) if isinstance(elements[0], np.ndarray) else tuple(elements)
+
+
+def _axiom_terms(r: Realization) -> dict:
+    """Axiom name -> (residual as a function of (x, y, z, s, t), the
+    parameters its worst case names).  The arguments are one sample, or
+    stacks of samples with arrays s, t, giving one residual per sample."""
+    op, metric = r.op, r.metric
+    if r.family:
+        return {
+            "self-action": (
+                lambda x, y, z, s, t: metric(op(x, s, op(x, t, y)), op(x, s + t, y)),
+                ("s", "t"),
+            ),
+            "self-distributivity": (
+                lambda x, y, z, s, t: metric(op(x, s, op(y, t, z)), op(op(x, s, y), t, op(x, s, z))),
+                ("s", "t"),
+            ),
+            "idempotency": (lambda x, y, z, s, t: metric(op(x, s, x), x), ("s",)),
+            "inverse-law": (lambda x, y, z, s, t: metric(op(x, -t, op(x, t, y)), y), ("t",)),
+        }
+    return {
+        "self-distributivity": (
+            lambda x, y, z, s, t: metric(op(x, t, op(y, t, z)), op(op(x, t, y), t, op(x, t, z))),
+            (),
+        ),
+        "idempotency": (lambda x, y, z, s, t: metric(op(x, t, x), x), ()),
+    }
 
 
 def verify_axioms(
@@ -162,71 +186,46 @@ def verify_axioms(
     Family realizations get four reports (self-action, self-distributivity,
     idempotency, inverse-law); fixed-operation ones get the two axioms that
     make sense without a parameter.  Parameters s, t are uniform on
-    [-3, 3]; ties in the worst case go to the earliest sample.
+    [-3, 3]; ties in the worst case go to the earliest sample.  Each axiom
+    is evaluated on all samples at once, in one op call per term; if that
+    raises an ``ArithmeticError``, the axiom is evaluated again sample by
+    sample, so that only the samples that break down score inf.
     """
     if samples < 1:
         raise ValueError("samples must be >= 1")
     tolerance = r.default_tolerance if tol is None else float(tol)
     rng = np.random.default_rng(seed)
-    axioms = FAMILY_AXIOMS if r.family else FIXED_AXIOMS
-    worst = {name: (-math.inf, {}) for name in axioms}
-
-    for i in range(samples):
-        x = r.sample(rng)
-        y = r.sample(rng)
-        z = r.sample(rng)
-        s = float(rng.uniform(-PARAM_RANGE, PARAM_RANGE))
-        t = float(rng.uniform(-PARAM_RANGE, PARAM_RANGE))
-        op, metric = r.op, r.metric
-
-        if r.family:
-            checks = {
-                "self-action": (
-                    lambda: metric(op(x, s, op(x, t, y)), op(x, s + t, y)),
-                    {"sample": i, "s": s, "t": t},
-                ),
-                "self-distributivity": (
-                    lambda: metric(op(x, s, op(y, t, z)), op(op(x, s, y), t, op(x, s, z))),
-                    {"sample": i, "s": s, "t": t},
-                ),
-                "idempotency": (
-                    lambda: metric(op(x, s, x), x),
-                    {"sample": i, "s": s},
-                ),
-                "inverse-law": (
-                    lambda: metric(op(x, -t, op(x, t, y)), y),
-                    {"sample": i, "t": t},
-                ),
-            }
-        else:
-            checks = {
-                "self-distributivity": (
-                    lambda: metric(op(x, 0.0, op(y, 0.0, z)), op(op(x, 0.0, y), 0.0, op(x, 0.0, z))),
-                    {"sample": i},
-                ),
-                "idempotency": (
-                    lambda: metric(op(x, 0.0, x), x),
-                    {"sample": i},
-                ),
-            }
-
-        for name, (fn, case) in checks.items():
-            res = _guarded(fn)
-            if res > worst[name][0]:
-                worst[name] = (res, case)
+    xs, ys, zs, ss, ts = [], [], [], [], []
+    for _ in range(samples):
+        xs.append(r.sample(rng))
+        ys.append(r.sample(rng))
+        zs.append(r.sample(rng))
+        ss.append(float(rng.uniform(-PARAM_RANGE, PARAM_RANGE)))
+        ts.append(float(rng.uniform(-PARAM_RANGE, PARAM_RANGE)))
+    params = {"s": ss, "t": ts}  # as the worst cases name them
+    if not r.family:  # a fixed operation ignores its parameter: pass 0
+        ss = ts = [0.0] * samples
+    batch = (_stack(xs), _stack(ys), _stack(zs), np.array(ss), np.array(ts))
 
     reports = []
-    for name in axioms:
-        res, case = worst[name]
+    for name, (term, keys) in _axiom_terms(r).items():
+        try:
+            res = np.asarray(term(*batch), dtype=float)
+            res = np.where(np.isfinite(res), res, math.inf)
+        except ArithmeticError:
+            res = [_guarded(lambda: term(xs[i], ys[i], zs[i], ss[i], ts[i]))
+                   for i in range(samples)]
+        i = int(np.argmax(res))
+        worst = float(res[i])
         reports.append(
             AxiomReport(
                 realization=r.name,
                 axiom=name,
                 samples=samples,
-                max_residual=res,
-                worst_case=case,
+                max_residual=worst,
+                worst_case={"sample": i, **{k: params[k][i] for k in keys}},
                 tolerance=tolerance,
-                passed=res <= tolerance,
+                passed=worst <= tolerance,
             )
         )
     return reports
@@ -245,7 +244,8 @@ def numeric_bracket(r: Realization, x, y, h: float = DEFAULT_STEP):
         raise ValueError(f"{r.name} elements do not support difference quotients")
     try:
         with np.errstate(over="raise", invalid="raise"):
-            quotient = (r.op(x, h, y) - r.op(x, -h, y)) / (2.0 * h)
+            plus, minus = r.op(x, np.array([h, -h]), y)
+            quotient = (plus - minus) / (2.0 * h)
     except ArithmeticError as exc:
         raise ArithmeticError(f"numeric_bracket at t = +/-{h!r}: {exc}") from exc
     if not np.isfinite(quotient).all():
@@ -357,7 +357,8 @@ def noether_check(
         grid = np.linspace(-t_max, t_max, t_samples)
 
         def direction(a, b) -> float:
-            return _guarded(lambda: max(_finite(r.metric(p, b)) for p in r.op(a, grid, b)))
+            # np.max of the distances is nan or inf if any one is, and so scores inf.
+            return _guarded(lambda: np.max(r.metric(r.op(a, grid, b), b)))
 
         res_xy = direction(x, y)
         res_yx = direction(y, x)

@@ -1,9 +1,12 @@
-"""The array-of-t op protocol against its scalar oracle.
+"""The batched op protocol against its scalar oracles.
 
-``op(x, t, y)`` with a 1-d array t evaluates the whole flow in one call.
-The scalar op, called once per t, is the reference it must reproduce: every
-member within 1e-12, the t = 0 member of a matrix flow exactly, and the
-Noether verdicts and residuals that the per-t loop used to compute.
+``op(x, t, y)`` with a 1-d array t evaluates the whole flow in one call, and
+with stacks of elements x and/or y (and a matching t) a whole batch of
+samples.  The scalar op, called once per t or per sample, is the reference
+it must reproduce: every member within 1e-12, the t = 0 member of a matrix
+flow exactly, the Noether verdicts and residuals that the per-t loop used to
+compute, and the axiom reports of the per-sample loop, bit for bit on the
+matrix realizations.
 """
 
 import math
@@ -15,7 +18,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import quandlekit as qk
-from quandlekit.verify import NOETHER_GRID, NOETHER_TOL, PARAM_RANGE
+from quandlekit.verify import DEFAULT_STEP, NOETHER_GRID, NOETHER_TOL, PARAM_RANGE, verify_axioms
 
 GRID = np.linspace(-PARAM_RANGE, PARAM_RANGE, NOETHER_GRID)
 PARITY_TOL = 1e-12
@@ -74,6 +77,15 @@ def test_batched_matrix_op_is_exact_at_zero(r):
         flow = r.op(x, GRID, y)
         assert flow.shape == (len(GRID),) + y.shape
         assert np.array_equal(flow[NOETHER_GRID // 2], y)
+
+
+@pytest.mark.parametrize("r", MATRIX_FAMILIES, ids=by_name)
+def test_batched_matrix_op_is_bitwise_per_t(r):
+    # Each member of the stack takes the squaring count its own t needs.
+    rng = np.random.default_rng(14)
+    x, y = r.sample(rng), r.sample(rng)
+    for got, want in zip(r.op(x, GRID, y), per_t(r, x, GRID, y)):
+        assert np.array_equal(got, want)
 
 
 def test_batched_shapes_per_carrier():
@@ -212,3 +224,197 @@ def test_batched_op_property(kind, dim, seed, grid):
     for got, tk in zip(flow, t):
         if tk == 0.0 and kind.startswith("matrix"):
             assert np.array_equal(got, y)
+
+
+# ---------------------------------------------------------------------------
+# stacks of elements and verify_axioms
+
+
+ALL_REALIZATIONS = [qk.make_realization(name, dim=3) for name in qk.REALIZATION_NAMES] + [
+    qk.corrupted_flow(3)]
+VECTOR_LIKE = [qk.bloch(), qk.convex_flow(3), qk.convex_spindle(0.5, 3, "box"),
+               qk.convex_spindle(0.3, 4, "simplex"), qk.union_lie(), qk.corrupted_flow(3)]
+
+
+def draws(r, samples, seed):
+    """The per-sample draws of verify_axioms: x, y, z, s, t in that order."""
+    rng = np.random.default_rng(seed)
+    out = []
+    for _ in range(samples):
+        x, y, z = r.sample(rng), r.sample(rng), r.sample(rng)
+        s = float(rng.uniform(-PARAM_RANGE, PARAM_RANGE))
+        t = float(rng.uniform(-PARAM_RANGE, PARAM_RANGE))
+        out.append((x, y, z, s, t))
+    return out
+
+
+def guarded(fn) -> float:
+    try:
+        value = float(fn())
+    except ArithmeticError:
+        return math.inf
+    return value if math.isfinite(value) else math.inf
+
+
+def oracle_verify_axioms(r, samples, seed):
+    """The per-sample loop: eleven scalar op calls per sample.
+
+    Returns {axiom: (max_residual, worst_case, passed)}."""
+    worst = {}
+    op, metric = r.op, r.metric
+    for i, (x, y, z, s, t) in enumerate(draws(r, samples, seed)):
+        if r.family:
+            checks = {
+                "self-action": (lambda: metric(op(x, s, op(x, t, y)), op(x, s + t, y)),
+                                {"sample": i, "s": s, "t": t}),
+                "self-distributivity": (
+                    lambda: metric(op(x, s, op(y, t, z)), op(op(x, s, y), t, op(x, s, z))),
+                    {"sample": i, "s": s, "t": t}),
+                "idempotency": (lambda: metric(op(x, s, x), x), {"sample": i, "s": s}),
+                "inverse-law": (lambda: metric(op(x, -t, op(x, t, y)), y), {"sample": i, "t": t}),
+            }
+        else:
+            checks = {
+                "self-distributivity": (
+                    lambda: metric(op(x, 0.0, op(y, 0.0, z)),
+                                   op(op(x, 0.0, y), 0.0, op(x, 0.0, z))),
+                    {"sample": i}),
+                "idempotency": (lambda: metric(op(x, 0.0, x), x), {"sample": i}),
+            }
+        for name, (fn, case) in checks.items():
+            res = guarded(fn)
+            if res > worst.get(name, (-math.inf,))[0]:
+                worst[name] = (res, case)
+    return {name: (res, case, res <= r.default_tolerance) for name, (res, case) in worst.items()}
+
+
+def batched_reports(r, samples, seed):
+    return {rep.axiom: (rep.max_residual, rep.worst_case, rep.passed)
+            for rep in verify_axioms(r, samples=samples, seed=seed)}
+
+
+@pytest.mark.parametrize("r", MATRIX_FAMILIES, ids=by_name)
+@pytest.mark.parametrize("seed", range(6))
+def test_verify_axioms_matches_per_sample_oracle_bitwise(r, seed):
+    got, want = batched_reports(r, 9, seed), oracle_verify_axioms(r, 9, seed)
+    assert list(got) == list(want)
+    for name in want:
+        assert repr(got[name][0]) == repr(want[name][0])
+        assert got[name][1:] == want[name][1:]
+
+
+@pytest.mark.parametrize("r", VECTOR_LIKE, ids=lambda r: f"{r.name}{r.params}")
+@pytest.mark.parametrize("seed", range(6))
+def test_verify_axioms_matches_per_sample_oracle_on_vectors(r, seed):
+    got, want = batched_reports(r, 60, seed), oracle_verify_axioms(r, 60, seed)
+    assert list(got) == list(want)
+    for name in want:
+        assert got[name][2] == want[name][2]
+        if got[name][0] == want[name][0]:  # ties go to the earliest sample in both
+            assert got[name][1] == want[name][1]
+        if math.isinf(want[name][0]):
+            assert got[name][0] == want[name][0]
+        else:
+            assert abs(got[name][0] - want[name][0]) <= 1e-15
+
+
+def stack(elements):
+    return np.stack(elements) if isinstance(elements[0], np.ndarray) else tuple(elements)
+
+
+@pytest.mark.parametrize("r", ALL_REALIZATIONS, ids=by_name)
+def test_op_on_stacks_matches_per_element_loop(r):
+    rows = draws(r, 7, 12)
+    xs, ys, _, ss, ts = map(list, zip(*rows))
+    t = np.array(ts)
+    cases = [
+        (stack(xs), stack(ys), [(x, y) for x, y in zip(xs, ys)]),   # stack acts on stack
+        (xs[0], stack(ys), [(xs[0], y) for y in ys]),               # one x acts on a stack
+        (stack(xs), ys[0], [(x, ys[0]) for x in xs]),               # a stack acts on one y
+    ]
+    for x, y, pairs in cases:
+        got = r.op(x, t, y)
+        assert len(got) == len(t)
+        want = [r.op(a, float(tk), b) for (a, b), tk in zip(pairs, t)]
+        dist = np.asarray(r.metric(got, stack(want)))
+        assert dist.shape == (len(t),)
+        for k, (member, w) in enumerate(zip(got, want)):
+            assert r.metric(member, w) <= PARITY_TOL
+            assert dist[k] == r.metric(member, w)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    dim=st.integers(min_value=1, max_value=6),
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+    log_norms=st.lists(st.one_of(st.none(), st.floats(min_value=-3.0, max_value=3.0)),
+                       min_size=1, max_size=10),
+)
+def test_stacked_expm_is_bitwise_per_matrix(dim, seed, log_norms):
+    # Skew-Hermitian members of Frobenius norm 0 (None) or 10**-3 .. 10**3:
+    # their exponentials are unitary, so none overflows, and each member
+    # takes a squaring count of its own.
+    rng = np.random.default_rng(seed)
+    members = []
+    for log_norm in log_norms:
+        h = 1j * qk.random_hermitian(rng, dim)
+        scale = 0.0 if log_norm is None else 10.0**log_norm / np.linalg.norm(h)
+        members.append(scale * h)
+    got = qk.expm(np.stack(members))
+    for member, m, log_norm in zip(got, members, log_norms):
+        assert np.array_equal(member, qk.expm(m))
+        if log_norm is None:
+            assert np.array_equal(member, np.eye(dim))
+
+
+def counting(r):
+    """``r`` with an op that counts its calls in ``calls[0]``."""
+    calls = [0]
+
+    def op(x, t, y):
+        calls[0] += 1
+        return r.op(x, t, y)
+
+    return qk.Realization(name=r.name, carrier=r.carrier, op=op, metric=r.metric,
+                          sample=r.sample, default_tolerance=r.default_tolerance,
+                          family=r.family), calls
+
+
+@pytest.mark.parametrize("r", ALL_REALIZATIONS, ids=by_name)
+def test_verify_axioms_makes_a_fixed_number_of_op_calls(r):
+    per_run = 11 if r.family else 6   # the op calls in the axioms' terms
+    for samples in (1, 40):
+        counted, calls = counting(r)
+        verify_axioms(counted, samples=samples, seed=1)
+        assert calls[0] == per_run
+
+
+def test_breakdown_in_one_sample_scores_only_that_term_inf():
+    base = qk.convex_flow(2)
+    bad_t = draws(base, 8, 3)[5][4]
+
+    def op(x, t, y):
+        # Only the inverse law acts for time -t; it breaks down at sample 5.
+        if np.any(np.asarray(t) == -bad_t):
+            raise OverflowError("breakdown")
+        return base.op(x, t, y)
+
+    broken = qk.Realization(name="broken", carrier=base.carrier, op=op, metric=base.metric,
+                            sample=base.sample, default_tolerance=base.default_tolerance)
+    got, want = batched_reports(broken, 8, 3), oracle_verify_axioms(broken, 8, 3)
+    assert got == want
+    assert got["inverse-law"] == (math.inf, {"sample": 5, "t": bad_t}, False)
+    healthy = batched_reports(base, 8, 3)
+    for name in ("self-action", "self-distributivity", "idempotency"):
+        assert got[name] == healthy[name] and got[name][2]
+
+
+@pytest.mark.parametrize("r", [r for r in FAMILIES if r.vector_carrier], ids=by_name)
+def test_numeric_bracket_is_one_op_call(r):
+    rng = np.random.default_rng(13)
+    x, y = r.sample(rng), r.sample(rng)
+    counted, calls = counting(r)
+    got = qk.numeric_bracket(counted, x, y)
+    assert calls[0] == 1
+    h = DEFAULT_STEP
+    assert np.array_equal(got, (r.op(x, h, y) - r.op(x, -h, y)) / (2.0 * h))
