@@ -231,9 +231,14 @@ class GroupTable:
         return cls(order=n, table=table, identity=identity, inverse=tuple(inverse))
 
     def __post_init__(self):
-        t, n = self.table, self.order
-        _freeze_table(t, n)
+        t, n = _freeze_table(self.table, self.order), self.order
+        object.__setattr__(self, "table", t)
+        object.__setattr__(self, "inverse", tuple(self.inverse))
         e = self.identity
+        if not 0 <= e < n:
+            raise ValueError(f"identity {e} outside [0, {n})")
+        if len(self.inverse) != n or not all(0 <= i < n for i in self.inverse):
+            raise ValueError(f"inverse must list {n} elements of [0, {n}), got {self.inverse!r}")
         for y in range(n):
             if t[e][y] != y or t[y][e] != y:
                 raise ValueError(f"identity law fails at {y}")

@@ -167,14 +167,20 @@ def matrix_to_json(a) -> dict:
     }
 
 
+def _json_number(v, what: str):
+    """``v`` if it is a JSON number; bools, strings and the rest are refused."""
+    if isinstance(v, bool) or not isinstance(v, (int, float)):
+        raise ValueError(f"{what} must be a number, got {v!r}")
+    return v
+
+
 def _json_reals(rows, key: str) -> np.ndarray:
     """A JSON list of rows of numbers as a float array; bools and strings are refused."""
     if not isinstance(rows, list) or not all(isinstance(row, list) for row in rows):
         raise ValueError(f"matrix JSON {key!r} must be a list of rows")
     for row in rows:
         for v in row:
-            if isinstance(v, bool) or not isinstance(v, (int, float)):
-                raise ValueError(f"matrix JSON {key!r} entry {v!r} is not a number")
+            _json_number(v, f"matrix JSON {key!r} entry")
     try:
         return np.asarray(rows, dtype=float)
     except ValueError as exc:

@@ -18,7 +18,7 @@ from typing import Any, Callable, Optional
 import numpy as np
 
 from .linalg import (
-    as_matrix,
+    _json_number,
     commutator,
     conjugate_by_exp,
     hermitize,
@@ -51,12 +51,14 @@ class Realization:
     or a 1-d numpy array; an array evaluates the whole flow in one call and
     returns a sequence of ``len(t)`` elements, the k-th being x acting on y
     for time ``t[k]``: a ``(T, n, n)`` stack on matrix carriers, a
-    ``(T, d)`` array on vector carriers, a tuple on the union.  x and/or y
-    may also be stacks of N elements in that same form, with a length-N t:
-    the k-th output is then ``x[k]`` acting on ``y[k]`` for time ``t[k]``,
-    a single x or y acting or acted on throughout.  ``metric`` is the
-    distance all tolerances refer to; given two stacks of N elements (or a
-    stack and one element) it returns the N distances member by member.
+    ``(T, d)`` array on vector carriers, a ``(T, 3)`` array of rows on the
+    union.  x and/or y may also be stacks of N elements in that same form,
+    with a length-N t: the k-th output is then ``x[k]`` acting on ``y[k]``
+    for time ``t[k]``, a single x or y acting or acted on throughout.
+    ``metric`` is the distance all tolerances refer to; given two stacks of
+    N elements (or a stack and one element) it returns the N distances
+    member by member.  ``metric(v, 0.0)`` is the norm of a tangent vector v
+    such as a bracket, and ``encode`` writes v as it writes elements.
     ``vector_carrier`` says whether elements subtract and divide by scalars
     (needed for difference quotients).  ``generator`` maps an element to the
     plain-convention matrix generator of its flow, when one exists.
@@ -71,11 +73,9 @@ class Realization:
     family: bool = True
     vector_carrier: bool = True
     analytic_bracket: Optional[Callable[[Any, Any], Any]] = None
-    tangent_norm: Optional[Callable[[Any], float]] = None
     generator: Optional[Callable[[Any], np.ndarray]] = None
     decode: Optional[Callable[[Any], Any]] = None
     encode: Optional[Callable[[Any], Any]] = None
-    encode_tangent: Optional[Callable[[Any], Any]] = None
     flat_labels: Optional[Callable[[Any], list[str]]] = None
     flatten: Optional[Callable[[Any], list[float]]] = None
     params: dict = field(default_factory=dict)
@@ -85,7 +85,9 @@ class UnionElement:
     """Tagged element of the algebra-plus-plane union carrier.
 
     ``part`` is "algebra" (value: real scale of the planar rotation
-    generator) or "space" (value: 2-vector).
+    generator) or "space" (value: 2-vector).  As an array it is the row
+    ``[tag, a, b]``: tag 0 for an algebra scale a (b = 0), tag 1 for a
+    plane point (a, b).  The union's op and metric work on these rows.
     """
 
     __slots__ = ("part", "value")
@@ -109,6 +111,10 @@ class UnionElement:
 
     def __repr__(self):
         return f"UnionElement({self.part!r}, {self.value!r})"
+
+    def __array__(self, dtype=None, copy=None):
+        row = [0.0, self.value, 0.0] if self.part == "algebra" else [1.0, *self.value]
+        return np.array(row, dtype=dtype)
 
 
 # ---------------------------------------------------------------------------
@@ -157,30 +163,23 @@ def op_convex_flow(x: np.ndarray, t, y: np.ndarray) -> np.ndarray:
     return (1.0 - w) * x + w * y
 
 
-def planar_rotation(angle: float) -> np.ndarray:
-    c, s = math.cos(angle), math.sin(angle)
-    return np.array([[c, -s], [s, c]], dtype=np.float64)
-
-
-def _union_stack(e, n: int) -> tuple:
-    """A union element repeated n times, or a stack (tuple) of n as it is."""
-    return e if isinstance(e, tuple) else (e,) * n
-
-
-def _union_act(x: UnionElement, t: float, y: UnionElement) -> UnionElement:
-    if x.part == "space" or y.part == "algebra":
-        return y
-    return UnionElement("space", planar_rotation(t * x.value) @ y.value)
+def planar_rotation(angle) -> np.ndarray:
+    """The 2×2 rotation by ``angle``, or a stack ``(..., 2, 2)`` of them, one
+    per entry of an array of angles."""
+    c, s = np.cos(angle), np.sin(angle)
+    return np.stack([np.stack([c, -s], -1), np.stack([s, c], -1)], -2)
 
 
 def op_union(x, t, y):
     """Three cases: space elements act trivially; the abelian algebra acts
     trivially on itself; an algebra element of scale a rotates a plane point
-    by angle t·a.  Stacks are tuples, acted on member by member."""
-    if np.ndim(t) == 0:
-        return _union_act(x, t, y)
-    n = len(t)
-    return tuple(map(_union_act, _union_stack(x, n), t.tolist(), _union_stack(y, n)))
+    by angle t·a.  Elements are ``[tag, a, b]`` rows (see `UnionElement`),
+    stacks are ``(N, 3)`` arrays of them, and the result is a row or a
+    stack of rows."""
+    x, y = np.asarray(x, dtype=np.float64), np.asarray(y, dtype=np.float64)
+    rotated = (planar_rotation(np.asarray(t) * x[..., 1]) @ y[..., 1:, None])[..., 0]
+    acts = (x[..., 0] == 0.0) & (y[..., 0] == 1.0)
+    return np.where(acts[..., None], np.insert(rotated, 0, 1.0, axis=-1), y)
 
 
 def bloch_embedding(p: np.ndarray) -> np.ndarray:
@@ -214,26 +213,12 @@ def _euclidean_metric(a, b):
     return np.sqrt(_row_dot(d, d))[..., 0]
 
 
-def _union_distance(a: UnionElement, b: UnionElement) -> float:
-    if a.part != b.part:
-        return math.inf
-    if a.part == "algebra":
-        return abs(a.value - b.value)
-    return float(np.linalg.norm(a.value - b.value))
-
-
 def _union_metric(a, b):
-    if not isinstance(a, tuple) and not isinstance(b, tuple):
-        return _union_distance(a, b)
-    n = len(a) if isinstance(a, tuple) else len(b)
-    return np.array(list(map(_union_distance, _union_stack(a, n), _union_stack(b, n))))
-
-
-def _json_number(v, what: str):
-    """``v`` if it is a JSON number; bools, strings and the rest are refused."""
-    if isinstance(v, bool) or not isinstance(v, (int, float)):
-        raise ValueError(f"{what} must be a number, got {v!r}")
-    return v
+    """Distance of the scales or of the plane points; inf across the parts."""
+    a, b = np.asarray(a, dtype=np.float64), np.asarray(b, dtype=np.float64)
+    d = np.where(a[..., 0] == 0.0, np.abs(a[..., 1] - b[..., 1]),
+                 _euclidean_metric(a[..., 1:], b[..., 1:]))
+    return np.where(a[..., 0] == b[..., 0], d, math.inf)
 
 
 def _json_vector(obj, what: str):
@@ -275,13 +260,11 @@ def _matrix_flatten(a: np.ndarray) -> list[float]:
     return out
 
 
-# The metric, tangent norm, JSON encoders and CSV flatteners shared by every
-# realization on one kind of carrier.
+# The metric, JSON encoder and CSV flatteners shared by every realization on
+# one kind of carrier.
 _MATRIX_CODEC = dict(
     metric=_matrix_metric,
-    tangent_norm=max_abs,
     encode=matrix_to_json,
-    encode_tangent=matrix_to_json,
     flat_labels=_matrix_labels,
     flatten=_matrix_flatten,
 )
@@ -293,10 +276,8 @@ def _vector_codec(dim: int, labels=None, decode=None) -> dict:
     labels = [f"v{i}" for i in range(dim)] if labels is None else labels
     return dict(
         metric=_euclidean_metric,
-        tangent_norm=lambda v: float(np.linalg.norm(v)),
         decode=decode or (lambda obj: _decode_vector(obj, dim)),
         encode=_encode_vector,
-        encode_tangent=_encode_vector,
         flat_labels=lambda v: list(labels),
         flatten=_encode_vector,
     )

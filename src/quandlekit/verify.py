@@ -18,7 +18,7 @@ from typing import Any, Optional
 
 import numpy as np
 
-from .linalg import commutator
+from .linalg import as_matrix
 from .realizations import Realization
 
 DEFAULT_SAMPLES = 200
@@ -142,12 +142,6 @@ def _guarded(fn) -> float:
     return value if math.isfinite(value) else math.inf
 
 
-def _stack(elements: list):
-    """Sampled elements as one stack: an array along a new leading axis, or
-    a tuple where elements are not arrays (the union)."""
-    return np.stack(elements) if isinstance(elements[0], np.ndarray) else tuple(elements)
-
-
 def _axiom_terms(r: Realization) -> dict:
     """Axiom name -> (residual as a function of (x, y, z, s, t), the
     parameters its worst case names).  The arguments are one sample, or
@@ -205,7 +199,7 @@ def verify_axioms(
     params = {"s": ss, "t": ts}  # as the worst cases name them
     if not r.family:  # a fixed operation ignores its parameter: pass 0
         ss = ts = [0.0] * samples
-    batch = (_stack(xs), _stack(ys), _stack(zs), np.array(ss), np.array(ts))
+    batch = (np.stack(xs), np.stack(ys), np.stack(zs), np.array(ss), np.array(ts))
 
     reports = []
     for name, (term, keys) in _axiom_terms(r).items():
@@ -264,17 +258,18 @@ def integrate_flow(r: Realization, x, y, t_end: float, steps: int) -> Trajectory
     if not t_end > 0:
         raise ValueError("t_end must be positive")
 
-    g = r.generator(x)
+    g, cur = as_matrix(r.generator(x)), as_matrix(y)
+    if g.shape != cur.shape:
+        raise ValueError(f"dimension mismatch: {g.shape[0]} vs {cur.shape[0]}")
 
     def field(m):
-        return commutator(g, m)
+        return g @ m - m @ g
 
     h = t_end / steps
     times = [0.0]
-    points = [np.asarray(y, dtype=np.complex128)]
-    cur = points[0]
-    # Overflow raises at the step it happens in, before a non-finite state
-    # can reach the next field evaluation.
+    points = [cur]
+    # The state starts finite, and overflow or an invalid operation raises
+    # at the step it happens in, so no state is ever non-finite.
     with np.errstate(over="raise", invalid="raise"):
         for k in range(1, steps + 1):
             try:
@@ -311,15 +306,13 @@ def sample_flow(r: Realization, x, y, t_end: float, steps: int) -> Trajectory:
                     point = r.op(x, t, y)
                 except ArithmeticError as point_exc:
                     raise ArithmeticError(f"sample_flow at t = {t!r}: {point_exc}") from exc
-                if isinstance(point, np.ndarray) and not np.isfinite(point).all():
+                if not np.isfinite(point).all():
                     raise ArithmeticError(f"sample_flow at t = {t!r}: non-finite result") from exc
             raise ArithmeticError(f"sample_flow at t in [{times[1]!r}, {t_end!r}]: {exc}") from exc
-    # Union elements are checked finite when they are built.
-    if isinstance(flow, np.ndarray):
-        finite = np.isfinite(flow).reshape(steps, -1).all(axis=1)
-        if not finite.all():
-            t = times[1 + int(np.argmin(finite))]
-            raise ArithmeticError(f"sample_flow at t = {t!r}: non-finite result")
+    finite = np.isfinite(flow).reshape(steps, -1).all(axis=1)
+    if not finite.all():
+        t = times[1 + int(np.argmin(finite))]
+        raise ArithmeticError(f"sample_flow at t = {t!r}: non-finite result")
     return Trajectory(tuple(times), (y, *flow), r.name, x, y)
 
 
@@ -364,10 +357,10 @@ def noether_check(
         res_yx = direction(y, x)
         method = "sampled"
     elif mode == "bracket":
-        if r.analytic_bracket is None or r.tangent_norm is None:
+        if r.analytic_bracket is None:
             raise ValueError(f"{r.name} has no analytic bracket")
-        res_xy = _guarded(lambda: r.tangent_norm(r.analytic_bracket(x, y)))
-        res_yx = _guarded(lambda: r.tangent_norm(r.analytic_bracket(y, x)))
+        res_xy = _guarded(lambda: r.metric(r.analytic_bracket(x, y), 0.0))
+        res_yx = _guarded(lambda: r.metric(r.analytic_bracket(y, x), 0.0))
         method = "bracket-criterion"
     else:
         raise ValueError(f"mode must be 'sampled' or 'bracket', got {mode!r}")
@@ -408,9 +401,7 @@ def noether_suite(
     control_consistent = control.consistent and control.x_fixes_y
 
     verdicts = []
-    modes_agree: Optional[bool] = None
-    if r.analytic_bracket is not None and r.tangent_norm is not None:
-        modes_agree = True
+    modes_agree = True if r.analytic_bracket is not None else None
     for _ in range(pairs):
         x = r.sample(rng)
         y = r.sample(rng)

@@ -97,8 +97,52 @@ def test_batched_shapes_per_carrier():
     a, p = qk.UnionElement("algebra", 0.5), qk.UnionElement("space", [1.0, 0.0])
     for x, y in ((a, p), (p, a), (a, a), (p, p)):
         flow = u.op(x, GRID, y)
-        assert isinstance(flow, tuple) and len(flow) == len(GRID)
-        assert all(e.part == y.part for e in flow)
+        assert flow.shape == (len(GRID), 3)
+        assert np.all(flow[:, 0] == np.asarray(y)[0])   # each row keeps y's tag
+
+
+def union_act(x, t, y):
+    """The scalar oracle of the union op: one UnionElement acting on another."""
+    if x.part == "space" or y.part == "algebra":
+        return y
+    c, s = math.cos(t * x.value), math.sin(t * x.value)
+    return qk.UnionElement("space", np.array([[c, -s], [s, c]]) @ y.value)
+
+
+def union_distance(a, b) -> float:
+    """The scalar oracle of the union metric."""
+    if a.part != b.part:
+        return math.inf
+    if a.part == "algebra":
+        return abs(a.value - b.value)
+    return float(np.linalg.norm(a.value - b.value))
+
+
+UNION_COORD = st.floats(min_value=-10.0, max_value=10.0)
+UNION_ELEMENTS = st.one_of(
+    UNION_COORD.map(lambda a: qk.UnionElement("algebra", a)),
+    st.tuples(UNION_COORD, UNION_COORD).map(lambda p: qk.UnionElement("space", p)),
+)
+
+
+def same_bits(got, want) -> bool:
+    got, want = np.asarray(got, dtype=np.float64), np.asarray(want, dtype=np.float64)
+    return got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
+@settings(max_examples=40, deadline=None)
+@given(data=st.data(), n=st.integers(min_value=1, max_value=20))
+def test_union_rows_match_element_oracle_bitwise(data, n):
+    xs, ys, zs = (data.draw(st.lists(UNION_ELEMENTS, min_size=n, max_size=n)) for _ in "xyz")
+    t = np.array(data.draw(st.lists(st.floats(min_value=-PARAM_RANGE, max_value=PARAM_RANGE),
+                                    min_size=n, max_size=n)))
+    want = [union_act(x, tk, y) for x, tk, y in zip(xs, t.tolist(), ys)]
+    assert same_bits(qk.op_union(np.stack(xs), t, np.stack(ys)), np.stack(want))
+    assert same_bits(qk.op_union(xs[0], t[0], ys[0]), want[0])
+    r = qk.union_lie()
+    assert same_bits(r.metric(np.stack(want), np.stack(zs)),
+                     [union_distance(w, z) for w, z in zip(want, zs)])
+    assert same_bits(r.metric(zs[0], want[0]), union_distance(zs[0], want[0]))
 
 
 @pytest.mark.parametrize("dim", [1, 2, 3, 5, 8])
@@ -318,25 +362,21 @@ def test_verify_axioms_matches_per_sample_oracle_on_vectors(r, seed):
             assert abs(got[name][0] - want[name][0]) <= 1e-15
 
 
-def stack(elements):
-    return np.stack(elements) if isinstance(elements[0], np.ndarray) else tuple(elements)
-
-
 @pytest.mark.parametrize("r", ALL_REALIZATIONS, ids=by_name)
 def test_op_on_stacks_matches_per_element_loop(r):
     rows = draws(r, 7, 12)
     xs, ys, _, ss, ts = map(list, zip(*rows))
     t = np.array(ts)
     cases = [
-        (stack(xs), stack(ys), [(x, y) for x, y in zip(xs, ys)]),   # stack acts on stack
-        (xs[0], stack(ys), [(xs[0], y) for y in ys]),               # one x acts on a stack
-        (stack(xs), ys[0], [(x, ys[0]) for x in xs]),               # a stack acts on one y
+        (np.stack(xs), np.stack(ys), [(x, y) for x, y in zip(xs, ys)]),  # stack acts on stack
+        (xs[0], np.stack(ys), [(xs[0], y) for y in ys]),                  # one x acts on a stack
+        (np.stack(xs), ys[0], [(x, ys[0]) for x in xs]),                  # a stack acts on one y
     ]
     for x, y, pairs in cases:
         got = r.op(x, t, y)
         assert len(got) == len(t)
         want = [r.op(a, float(tk), b) for (a, b), tk in zip(pairs, t)]
-        dist = np.asarray(r.metric(got, stack(want)))
+        dist = np.asarray(r.metric(got, np.stack(want)))
         assert dist.shape == (len(t),)
         for k, (member, w) in enumerate(zip(got, want)):
             assert r.metric(member, w) <= PARITY_TOL

@@ -262,6 +262,23 @@ def test_group_validation_rejects_broken_tables():
         qk.GroupTable.from_rows([[1, 1], [1, 1]])
 
 
+@pytest.mark.parametrize("changes, error", [
+    ({}, None),                        # a list table is frozen, so the group hashes
+    ({"inverse": (0, 1, 1)}, "inverse must list 2"),
+    ({"inverse": (0,)}, "inverse must list 2"),
+    ({"identity": 7}, "identity 7 outside"),
+])
+def test_group_table_constructor_freezes_and_checks_ranges(changes, error):
+    fields = {"order": 2, "table": [[0, 1], [1, 0]], "identity": 0, "inverse": (0, 1), **changes}
+    if error is not None:
+        with pytest.raises(ValueError, match=error):
+            qk.GroupTable(**fields)
+        return
+    g = qk.GroupTable(**fields)
+    assert g.table == ((0, 1), (1, 0))
+    assert hash(g) == hash(qk.cyclic_group(2)) and g == qk.cyclic_group(2)
+
+
 def test_group_json_identity_checked():
     g = qk.cyclic_group(3)
     assert qk.GroupTable.from_json(g.to_json()) == g

@@ -320,15 +320,18 @@ def test_union_op_cases():
     a = qk.UnionElement("algebra", 1.0)
     b = qk.UnionElement("algebra", -0.4)
     p = qk.UnionElement("space", [1.0, 0.0])
+    assert np.array_equal(a, [0.0, 1.0, 0.0]) and np.array_equal(p, [1.0, 1.0, 0.0])
     # space fixes everything
-    assert qk.op_union(p, 2.0, a) is a
-    assert qk.op_union(p, 2.0, p) is p
+    assert np.array_equal(qk.op_union(p, 2.0, a), a)
+    assert np.array_equal(qk.op_union(p, 2.0, p), p)
     # abelian algebra: a fixes b
-    assert qk.op_union(a, 2.0, b) is b
+    assert np.array_equal(qk.op_union(a, 2.0, b), b)
     # algebra rotates the plane: angle t*a
     out = qk.op_union(a, math.pi / 2, p)
-    assert out.part == "space"
-    np.testing.assert_allclose(out.value, [0.0, 1.0], atol=1e-12)
+    assert out.shape == (3,) and out[0] == 1.0
+    np.testing.assert_allclose(out[1:], [0.0, 1.0], atol=1e-12)
+    # rows in, rows out
+    assert np.array_equal(qk.op_union(np.asarray(a), math.pi / 2, np.asarray(p)), out)
 
 
 def test_union_element_validation():

@@ -162,6 +162,10 @@ def test_integrate_flow_validation():
         qk.integrate_flow(r, x, x, t_end=-1.0, steps=10)
     with pytest.raises(ValueError):
         qk.integrate_flow(qk.bloch(), EZ3, EZ3, t_end=1.0, steps=10)
+    with pytest.raises(ValueError, match="dimension mismatch: 2 vs 3"):
+        qk.integrate_flow(r, x, np.eye(3), t_end=1.0, steps=10)
+    with pytest.raises(ValueError, match="non-finite"):
+        qk.integrate_flow(r, x, np.full((2, 2), np.nan), t_end=1.0, steps=10)
 
 
 EZ3 = np.array([0.0, 0.0, 1.0])
