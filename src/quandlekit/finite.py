@@ -11,11 +11,13 @@ filtering.
 from __future__ import annotations
 
 import operator
-from dataclasses import InitVar, dataclass
+from dataclasses import InitVar, dataclass, field
 from functools import lru_cache
 from itertools import permutations, product
 
 import numpy as np
+
+from .linalg import _check_int
 
 Row = tuple[int, ...]
 Table = tuple[Row, ...]
@@ -43,27 +45,24 @@ def _freeze_row(i: int, row, what: str) -> Row:
     raise ValueError(f"{what} row {i} must hold integers only, got {list(row)!r}")
 
 
-def _freeze_table(rows, order: int | None = None, what: str = "table") -> Table:
+def _freeze_table(rows, order: int | None = None, what: str = "table",
+                  width: int | None = None) -> Table:
+    """``rows`` as a tuple of int tuples: ``order`` rows, where given, each of
+    ``width`` entries in [0, width); ``width`` defaults to the row count."""
     table = tuple(_freeze_row(i, row, what) for i, row in enumerate(rows))
     n = len(table)
-    if order is not None and order != n:
+    if order is not None and _check_int(order, "order") != n:
         raise ValueError(f"declared order {order} but table has {n} rows")
     if n < 1:
         raise ValueError("table must have at least one row")
+    width = n if width is None else width
     for i, row in enumerate(table):
-        if len(row) != n:
-            raise ValueError(f"row {i} has length {len(row)}, expected {n}")
+        if len(row) != width:
+            raise ValueError(f"row {i} has length {len(row)}, expected {width}")
         for v in row:
-            if not 0 <= v < n:
-                raise ValueError(f"entry {v} at row {i} outside [0, {n})")
+            if not 0 <= v < width:
+                raise ValueError(f"entry {v} at row {i} outside [0, {width})")
     return table
-
-
-def _json_int(value, what: str) -> int:
-    """``value`` if it is a JSON integer; bools, floats and strings are refused."""
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise ValueError(f"{what} must be an integer, got {value!r}")
-    return value
 
 
 def _rows_from_json(obj, kind: str) -> tuple[list, int]:
@@ -77,7 +76,7 @@ def _rows_from_json(obj, kind: str) -> tuple[list, int]:
     rows = obj["table"]
     if not isinstance(rows, list) or not all(isinstance(row, list) for row in rows):
         raise ValueError(f"{kind} JSON 'table' must be a list of rows")
-    return rows, _json_int(obj.get("order", len(rows)), f"{kind} JSON 'order'")
+    return rows, _check_int(obj.get("order", len(rows)), f"{kind} JSON 'order'")
 
 
 @dataclass(frozen=True)
@@ -200,56 +199,38 @@ def inverse_operation(m: MagmaTable) -> MagmaTable:
 
 @dataclass(frozen=True)
 class GroupTable:
-    """A finite group as a Cayley table, fully validated at construction."""
+    """A finite group as a Cayley table, fully validated at construction;
+    ``identity`` and ``inverse`` are read off the table."""
 
     order: int
     table: Table
-    identity: int
-    inverse: tuple[int, ...]
+    identity: int = field(init=False)
+    inverse: tuple[int, ...] = field(init=False)
+    # What error messages call the table, e.g. the JSON field it was read from.
+    source: InitVar[str] = "table"
 
     @classmethod
     def from_rows(cls, rows) -> "GroupTable":
-        table = _freeze_table(rows)
-        n = len(table)
-        identity = None
-        for e in range(n):
-            if all(table[e][y] == y and table[y][e] == y for y in range(n)):
-                identity = e
-                break
-        if identity is None:
-            raise ValueError("no identity element")
-        inverse = []
-        for x in range(n):
-            found = None
-            for y in range(n):
-                if table[x][y] == identity and table[y][x] == identity:
-                    found = y
-                    break
-            if found is None:
-                raise ValueError(f"element {x} has no inverse")
-            inverse.append(found)
-        return cls(order=n, table=table, identity=identity, inverse=tuple(inverse))
+        rows = tuple(rows)
+        return cls(order=len(rows), table=rows)
 
-    def __post_init__(self):
-        t, n = _freeze_table(self.table, self.order), self.order
+    def __post_init__(self, source: str):
+        t = _freeze_table(self.table, self.order, source)
+        labels = tuple(range(len(t)))
+        e = next((e for e in labels if t[e] == labels and all(t[y][e] == y for y in labels)), None)
+        if e is None:
+            raise ValueError("no identity element")
+        inverse = tuple(next((y for y in labels if t[x][y] == e and t[y][x] == e), None)
+                        for x in labels)
+        if None in inverse:
+            raise ValueError(f"element {inverse.index(None)} has no inverse")
         object.__setattr__(self, "table", t)
-        object.__setattr__(self, "inverse", tuple(self.inverse))
-        e = self.identity
-        if not 0 <= e < n:
-            raise ValueError(f"identity {e} outside [0, {n})")
-        if len(self.inverse) != n or not all(0 <= i < n for i in self.inverse):
-            raise ValueError(f"inverse must list {n} elements of [0, {n}), got {self.inverse!r}")
-        for y in range(n):
-            if t[e][y] != y or t[y][e] != y:
-                raise ValueError(f"identity law fails at {y}")
-        for x in range(n):
-            ix = self.inverse[x]
-            if t[x][ix] != e or t[ix][x] != e:
-                raise ValueError(f"inverse law fails at {x}")
-        for a in range(n):
-            for b in range(n):
+        object.__setattr__(self, "identity", e)
+        object.__setattr__(self, "inverse", inverse)
+        for a in labels:
+            for b in labels:
                 ab = t[a][b]
-                for c in range(n):
+                for c in labels:
                     if t[ab][c] != t[a][t[b][c]]:
                         raise ValueError(f"associativity fails at ({a}, {b}, {c})")
 
@@ -266,8 +247,8 @@ class GroupTable:
     @classmethod
     def from_json(cls, obj) -> "GroupTable":
         rows, order = _rows_from_json(obj, "group")
-        g = cls.from_rows(_freeze_table(rows, order, "group JSON 'table'"))
-        identity = _json_int(obj.get("identity", g.identity), "group JSON 'identity'")
+        g = cls(order=order, table=rows, source="group JSON 'table'")
+        identity = _check_int(obj.get("identity", g.identity), "group JSON 'identity'")
         if identity != g.identity:
             raise ValueError(f"declared identity {identity} but table identity is {g.identity}")
         return g
@@ -280,8 +261,7 @@ def cyclic_group(n: int) -> GroupTable:
 def dihedral_group(n: int) -> GroupTable:
     """Symmetries of the regular n-gon, order 2n; indices 0..n-1 are the
     rotations r**i, n..2n-1 the reflections s*r**i."""
-    if n < 1:
-        raise ValueError("dihedral order parameter must be >= 1")
+    _check_int(n, "dihedral order parameter", 1)
 
     def mul(a, b):
         ra, ia = divmod(a, n)
@@ -377,21 +357,12 @@ class UnionQuandleSpec:
 
     def __post_init__(self):
         # set_size 0 is the degenerate union: just the conjugation quandle.
-        if self.set_size < 0:
-            raise ValueError("set_size must be >= 0")
-        n, m = self.group.order, self.set_size
-        act = tuple(tuple(int(v) for v in row) for row in self.action)
+        n, m = self.group.order, _check_int(self.set_size, "set_size", 0)
+        act = _freeze_table(self.action, n, "action", m)
         object.__setattr__(self, "action", act)
-        if len(act) != n or any(len(row) != m for row in act):
-            raise ValueError(f"action must be a {n}x{m} table")
-        for row in act:
-            for v in row:
-                if not 0 <= v < m:
-                    raise ValueError(f"action value {v} outside [0, {m})")
-        e = self.group.identity
-        for p in range(m):
-            if act[e][p] != p:
-                raise ValueError(f"identity must act trivially; moves point {p}")
+        moved = [p for p in range(m) if act[self.group.identity][p] != p]
+        if moved:
+            raise ValueError(f"identity must act trivially; moves point {moved[0]}")
         for g in range(n):
             for h in range(n):
                 gh = self.group.table[g][h]
@@ -405,22 +376,10 @@ def union_quandle(spec: UnionQuandleSpec) -> MagmaTable:
     by conjugation and on the points by the given action; points act
     trivially.  Indices [0, n) are the group, [n, n+m) the points.
     """
-    g = spec.group
-    n, m = g.order, spec.set_size
-    size = n + m
-    conj = conjugation_quandle(g)
-    rows = []
-    for x in range(size):
-        row = []
-        for y in range(size):
-            if x >= n:
-                row.append(y)
-            elif y < n:
-                row.append(conj.table[x][y])
-            else:
-                row.append(n + spec.action[x][y - n])
-        rows.append(row)
-    return MagmaTable.from_rows(rows)
+    n, m = spec.group.order, spec.set_size
+    conj = conjugation_quandle(spec.group).table
+    rows = [conj[x] + tuple(n + p for p in spec.action[x]) for x in range(n)]
+    return MagmaTable.from_rows(rows + [tuple(range(n + m))] * m)
 
 
 def relabel_table(table: Table, perm: Row) -> Table:
@@ -524,9 +483,7 @@ def enumerate_tables(order: int, kind: str, up_to_iso: bool = False) -> list[Mag
     """
     if kind not in KINDS:
         raise ValueError(f"kind must be one of {KINDS}, got {kind!r}")
-    if order < 1:
-        raise ValueError("order must be >= 1")
-    if order > MAX_ORDER[kind]:
+    if _check_int(order, "order", 1) > MAX_ORDER[kind]:
         raise ValueError(
             f"enumeration of {kind}s is limited to order <= {MAX_ORDER[kind]}"
         )

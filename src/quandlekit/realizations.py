@@ -18,7 +18,10 @@ from typing import Any, Callable, Optional
 import numpy as np
 
 from .linalg import (
-    _json_number,
+    MAX_DIM,
+    _check_int,
+    _check_number,
+    _json_vector,
     commutator,
     conjugate_by_exp,
     hermitize,
@@ -221,14 +224,6 @@ def _union_metric(a, b):
     return np.where(a[..., 0] == b[..., 0], d, math.inf)
 
 
-def _json_vector(obj, what: str):
-    """``obj`` unchanged; if it is a list, an entry that is not a JSON number is refused."""
-    if isinstance(obj, list):
-        for c in obj:
-            _json_number(c, f"{what} entry")
-    return obj
-
-
 def _decode_vector(obj, dim: int) -> np.ndarray:
     v = np.asarray(_json_vector(obj, "vector JSON"), dtype=np.float64)
     if v.shape != (dim,):
@@ -327,16 +322,9 @@ def _sample_union(rng: np.random.Generator) -> UnionElement:
 # factories
 
 
-def _check_dim(dim: int, low: int = 1, high: int = 16) -> int:
-    dim = int(dim)
-    if not low <= dim <= high:
-        raise ValueError(f"dim must be in [{low}, {high}], got {dim}")
-    return dim
-
-
 def matrix_hermitian(dim: int = 2) -> Realization:
     """Hermitian matrices under the skew flow e^{itX} Y e^{-itX}."""
-    dim = _check_dim(dim)
+    dim = _check_int(dim, "dim", 1, MAX_DIM)
 
     def decode(obj):
         return require_hermitian(matrix_from_json(obj))
@@ -357,7 +345,7 @@ def matrix_hermitian(dim: int = 2) -> Realization:
 
 def matrix_general(dim: int = 2) -> Realization:
     """All complex matrices under the plain flow e^{tX} Y e^{-tX}."""
-    dim = _check_dim(dim)
+    dim = _check_int(dim, "dim", 1, MAX_DIM)
     return Realization(
         name="matrix-general",
         carrier=f"{dim}x{dim} complex matrices",
@@ -394,7 +382,7 @@ def bloch() -> Realization:
 
 def convex_flow(dim: int = 3) -> Realization:
     """d-space with exponential relaxation toward the acting point."""
-    dim = _check_dim(dim)
+    dim = _check_int(dim, "dim", 1, MAX_DIM)
     return Realization(
         name="convex-flow",
         carrier=f"{dim}-vectors under affine relaxation",
@@ -416,7 +404,7 @@ def convex_spindle(bias: float = 0.5, dim: int = 3, body: str = "box") -> Realiz
     bias = float(bias)
     if not 0.0 <= bias <= 1.0:
         raise ValueError(f"bias must lie in [0, 1], got {bias}")
-    dim = _check_dim(dim)
+    dim = _check_int(dim, "dim", 1, MAX_DIM)
     if body not in ("box", "simplex"):
         raise ValueError(f"body must be 'box' or 'simplex', got {body!r}")
     sampler = _sample_box if body == "box" else _sample_simplex
@@ -447,7 +435,7 @@ def fixed_spectrum(eigenvalues) -> Realization:
         raise ValueError("eigenvalues must be finite")
     if spec.size > 1 and float(np.min(np.diff(spec))) < SPECTRUM_GAP:
         raise ValueError(f"eigenvalue gaps must be >= {SPECTRUM_GAP}")
-    dim = _check_dim(spec.size)
+    dim = _check_int(spec.size, "dim", 1, MAX_DIM)
     base = np.diag(spec.astype(np.complex128))
 
     def check(a: np.ndarray) -> np.ndarray:
@@ -494,7 +482,7 @@ def union_lie() -> Realization:
         if not isinstance(obj, dict) or "part" not in obj or "value" not in obj:
             raise ValueError('union element JSON needs "part" and "value"')
         part, value = obj["part"], obj["value"]
-        check = _json_number if part == "algebra" else _json_vector
+        check = _check_number if part == "algebra" else _json_vector
         return UnionElement(part, check(value, "union element JSON 'value'"))
 
     def encode(e: UnionElement):
@@ -520,7 +508,7 @@ def corrupted_flow(dim: int = 3) -> Realization:
     Exists so the verifier can be shown to fail loudly; not reachable from
     the command line.
     """
-    dim = _check_dim(dim)
+    dim = _check_int(dim, "dim", 1, MAX_DIM)
 
     def op(x, t, y):
         return _fixed_flow(t, y + 1e-3 * x)
@@ -544,7 +532,7 @@ _FACTORIES: dict[str, Callable[..., Realization]] = {
     "convex-flow": lambda dim, **_: convex_flow(dim),
     "convex-spindle": lambda dim, bias, body, **_: convex_spindle(bias, dim, body),
     "fixed-spectrum": lambda dim, eigenvalues, **_: fixed_spectrum(
-        [float(k) for k in range(1, dim + 1)] if eigenvalues is None else eigenvalues
+        np.arange(1.0, _check_int(dim, "dim") + 1) if eigenvalues is None else eigenvalues
     ),
     "union": lambda **_: union_lie(),
 }

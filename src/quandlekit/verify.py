@@ -18,7 +18,7 @@ from typing import Any, Optional
 
 import numpy as np
 
-from .linalg import as_matrix
+from .linalg import _check_int, _check_real, as_matrix
 from .realizations import Realization
 
 DEFAULT_SAMPLES = 200
@@ -185,9 +185,8 @@ def verify_axioms(
     raises an ``ArithmeticError``, the axiom is evaluated again sample by
     sample, so that only the samples that break down score inf.
     """
-    if samples < 1:
-        raise ValueError("samples must be >= 1")
-    tolerance = r.default_tolerance if tol is None else float(tol)
+    samples = _check_int(samples, "samples", 1)
+    tolerance = r.default_tolerance if tol is None else _check_real(tol, "tol", allow_zero=True)
     rng = np.random.default_rng(seed)
     xs, ys, zs, ss, ts = [], [], [], [], []
     for _ in range(samples):
@@ -230,8 +229,7 @@ def numeric_bracket(r: Realization, x, y, h: float = DEFAULT_STEP):
 
     Recovers the bracket of the realization's generators up to O(h²).
     """
-    if h <= 0:
-        raise ValueError("step h must be positive")
+    h = _check_real(h, "step h")
     if not r.family:
         raise ValueError(f"{r.name} has no time parameter to differentiate")
     if not r.vector_carrier:
@@ -251,12 +249,8 @@ def integrate_flow(r: Realization, x, y, t_end: float, steps: int) -> Trajectory
     """Classical Runge–Kutta for Ẏ = [gen(x), Y] from Y(0) = y."""
     if r.generator is None:
         raise ValueError(f"{r.name} has no matrix generator to integrate")
-    steps = int(steps)
-    if steps < 1:
-        raise ValueError("steps must be >= 1")
-    t_end = float(t_end)
-    if not t_end > 0:
-        raise ValueError("t_end must be positive")
+    steps = _check_int(steps, "steps", 1)
+    t_end = _check_real(t_end, "t_end")
 
     g, cur = as_matrix(r.generator(x)), as_matrix(y)
     if g.shape != cur.shape:
@@ -289,12 +283,8 @@ def sample_flow(r: Realization, x, y, t_end: float, steps: int) -> Trajectory:
     """Closed-form trajectory: the realization's own op on a grid, in one call."""
     if not r.family:
         raise ValueError(f"{r.name} has no time parameter to flow along")
-    steps = int(steps)
-    if steps < 1:
-        raise ValueError("steps must be >= 1")
-    t_end = float(t_end)
-    if not t_end > 0:
-        raise ValueError("t_end must be positive")
+    steps = _check_int(steps, "steps", 1)
+    t_end = _check_real(t_end, "t_end")
     times = [k * t_end / steps for k in range(steps + 1)]
     with np.errstate(over="raise", invalid="raise"):
         try:
@@ -344,10 +334,10 @@ def noether_check(
     """
     if not r.family:
         raise ValueError(f"{r.name} has no flow to test for fixing")
+    tol = _check_real(tol, "tol", allow_zero=True)
     if mode == "sampled":
-        if t_samples < 2:
-            raise ValueError("t_samples must be >= 2")
-        grid = np.linspace(-t_max, t_max, t_samples)
+        t_max = _check_real(t_max, "t_max")
+        grid = np.linspace(-t_max, t_max, _check_int(t_samples, "t_samples", 2))
 
         def direction(a, b) -> float:
             # np.max of the distances is nan or inf if any one is, and so scores inf.
@@ -392,8 +382,7 @@ def noether_suite(
     directions true) and, where an analytic bracket exists, cross-validates
     the sampled verdicts against the bracket criterion on every pair.
     """
-    if pairs < 1:
-        raise ValueError("pairs must be >= 1")
+    pairs = _check_int(pairs, "pairs", 1)
     rng = np.random.default_rng(seed)
 
     control_x = r.sample(rng)

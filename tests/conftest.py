@@ -1,6 +1,12 @@
 import pytest
+from hypothesis import settings
 
 import quandlekit as qk
+
+# One profile for every property test: the same examples on every run, and
+# no per-example deadline (first calls pay for imports and caches).
+settings.register_profile("quandlekit", derandomize=True, deadline=None)
+settings.load_profile("quandlekit")
 
 
 @pytest.fixture(scope="session")

@@ -130,7 +130,7 @@ def same_bits(got, want) -> bool:
     return got.shape == want.shape and got.tobytes() == want.tobytes()
 
 
-@settings(max_examples=40, deadline=None)
+@settings(max_examples=40)
 @given(data=st.data(), n=st.integers(min_value=1, max_value=20))
 def test_union_rows_match_element_oracle_bitwise(data, n):
     xs, ys, zs = (data.draw(st.lists(UNION_ELEMENTS, min_size=n, max_size=n)) for _ in "xyz")
@@ -248,7 +248,7 @@ def test_sample_flow_matches_per_t_oracle():
             assert r.metric(p, r.op(x, t, y)) <= PARITY_TOL
 
 
-@settings(max_examples=40, deadline=None)
+@settings(max_examples=40)
 @given(
     kind=st.sampled_from(["matrix-hermitian", "matrix-general", "bloch", "convex-flow"]),
     dim=st.integers(min_value=1, max_value=6),
@@ -383,7 +383,7 @@ def test_op_on_stacks_matches_per_element_loop(r):
             assert dist[k] == r.metric(member, w)
 
 
-@settings(max_examples=40, deadline=None)
+@settings(max_examples=40)
 @given(
     dim=st.integers(min_value=1, max_value=6),
     seed=st.integers(min_value=0, max_value=2**32 - 1),

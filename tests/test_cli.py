@@ -151,6 +151,24 @@ def test_noether_exit_codes(capsys):
     assert payload["first_inconsistent"]["consistent"] is False
 
 
+@pytest.mark.parametrize("argv, error", [
+    (["verify", "--realization", "bloch", "--tol", "nan"], "tol must be >= 0"),
+    (["verify", "--realization", "bloch", "--tol", "inf"], "tol must be finite, got inf"),
+    (["verify", "--realization", "bloch", "--tol=-1"], "tol must be >= 0"),
+    (["noether", "--realization", "matrix-hermitian", "--tol", "nan"], "tol must be >= 0"),
+    (["noether", "--realization", "matrix-hermitian", "--tol=-1"], "tol must be >= 0"),
+    (["noether", "--realization", "bloch", "--t-max", "0"], "t_max must be positive"),
+    (["noether", "--realization", "bloch", "--t-max", "nan"], "t_max must be positive"),
+    (["noether", "--realization", "bloch", "--t-max", "inf"], "t_max must be finite, got inf"),
+    (["noether", "--realization", "bloch", "--t-max=-3"], "t_max must be positive"),
+])
+def test_out_of_range_real_flags_exit_two(capsys, argv, error):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert err.splitlines() == [f"error: {error}"]
+
+
 def test_noether_default_seed_is_deterministic(capsys):
     _, out_a, _ = run_cli(capsys, "noether", "--realization", "bloch", "--pairs", "5")
     _, out_b, _ = run_cli(capsys, "noether", "--realization", "bloch", "--pairs", "5")

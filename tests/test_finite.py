@@ -8,6 +8,7 @@ same oracle run offline (raw 404, classes 22) because the 24^5-candidate
 sweep is too slow for a unit test.
 """
 
+import json
 from itertools import permutations, product
 
 import numpy as np
@@ -28,7 +29,8 @@ QUANDLE5_CLASSES = 22
 # independent oracle
 
 
-def oracle_sd_mask(tables: np.ndarray) -> np.ndarray:
+def oracle_sd_cells(tables: np.ndarray) -> np.ndarray:
+    """Per table of the stack, whether self-distributivity holds at each (x, y, z)."""
     n = tables.shape[1]
     idx = np.arange(tables.shape[0])[:, None, None, None]
     x = np.arange(n)[None, :, None, None]
@@ -36,7 +38,31 @@ def oracle_sd_mask(tables: np.ndarray) -> np.ndarray:
     z = np.arange(n)[None, None, None, :]
     lhs = tables[idx, x, tables[idx, y, z]]
     rhs = tables[idx, tables[idx, x, y], tables[idx, x, z]]
-    return (lhs == rhs).all(axis=(1, 2, 3))
+    return lhs == rhs
+
+
+def oracle_sd_mask(tables: np.ndarray) -> np.ndarray:
+    return oracle_sd_cells(tables).all(axis=(1, 2, 3))
+
+
+def oracle_report(t: np.ndarray) -> tuple:
+    """(is_shelf, is_spindle, is_quandle, violations) of one table, with the
+    first lexicographic witness of each failed axiom."""
+    n = len(t)
+    diag = np.arange(n)
+    earlier = np.tril(np.ones((n, n), dtype=bool), -1)  # [y, y'] for y' < y
+    failures = {
+        "self-distributivity": np.argwhere(~oracle_sd_cells(t[None])[0]),
+        "idempotency": np.argwhere(t[diag, diag] != diag).repeat(2, axis=1),
+        # (x, y): t[x, y] repeats an entry left of it in row x
+        "bijectivity": np.argwhere(((t[:, :, None] == t[:, None, :]) & earlier).any(axis=2)),
+    }
+    shelf = bool(oracle_sd_mask(t[None])[0])
+    spindle = shelf and not len(failures["idempotency"])
+    quandle = spindle and not len(failures["bijectivity"])
+    violations = tuple((name, tuple(int(v) for v in bad[0]))
+                       for name, bad in failures.items() if len(bad))
+    return shelf, spindle, quandle, violations
 
 
 def oracle_all_tables(n: int) -> np.ndarray:
@@ -156,6 +182,62 @@ def test_group_json_rejects_non_integer_identity():
             qk.GroupTable.from_json(obj)
 
 
+@st.composite
+def near_quandle_tables(draw):
+    """A table of order 1-7: a relabeled dihedral quandle x ▷ y = 2x - y mod n,
+    a shelf x ▷ y = f(y), or arbitrary entries, with up to two cells then
+    overwritten, so that each axiom fails at varied places."""
+    n = draw(st.integers(min_value=1, max_value=7))
+    cells = st.integers(min_value=0, max_value=n - 1)
+    base = draw(st.sampled_from(["dihedral", "shelf", "random"]))
+    if base == "dihedral":
+        p = np.array(draw(st.permutations(range(n))))
+        t = np.empty((n, n), dtype=np.intp)
+        t[np.ix_(p, p)] = p[(2 * np.arange(n)[:, None] - np.arange(n)) % n]
+    elif base == "shelf":
+        t = np.tile(draw(st.lists(cells, min_size=n, max_size=n)), (n, 1))
+    else:
+        t = np.array(draw(st.lists(st.lists(cells, min_size=n, max_size=n),
+                                   min_size=n, max_size=n)))
+    for _ in range(draw(st.integers(min_value=0, max_value=2))):
+        t[draw(cells), draw(cells)] = draw(cells)
+    return t
+
+
+@settings(max_examples=150)
+@given(near_quandle_tables())
+def test_classify_matches_brute_force_oracle(t):
+    report = qk.classify(qk.MagmaTable.from_rows(t))
+    got = (report.is_shelf, report.is_spindle, report.is_quandle, report.violations)
+    assert got == oracle_report(t)
+
+
+@settings(max_examples=40)
+@given(st.data())
+def test_table_json_round_trips(data):
+    n = data.draw(st.integers(min_value=1, max_value=7))
+    cells = st.integers(min_value=0, max_value=n - 1)
+    rows = data.draw(st.lists(st.lists(cells, min_size=n, max_size=n), min_size=n, max_size=n))
+    m = qk.MagmaTable.from_rows(rows)
+    assert qk.MagmaTable.from_json(json.loads(json.dumps(m.to_json()))) == m
+
+
+@settings(max_examples=40)
+@given(st.data())
+def test_group_json_round_trips_and_rederives_identity_and_inverse(small_groups, data):
+    g = data.draw(st.sampled_from(sorted(small_groups.items())))[1]
+    p = data.draw(st.permutations(range(g.order)))
+    # g carried along x -> p[x]: its identity and inverses carry along too
+    rows = [[0] * g.order for _ in range(g.order)]
+    for a, b in product(range(g.order), repeat=2):
+        rows[p[a]][p[b]] = p[g.table[a][b]]
+    h = qk.GroupTable.from_rows(rows)
+    assert h.identity == p[g.identity]
+    assert all(h.inverse[p[x]] == p[g.inverse[x]] for x in range(g.order))
+    back = qk.GroupTable.from_json(json.loads(json.dumps(h.to_json())))
+    assert back == h and (back.identity, back.inverse) == (h.identity, h.inverse)
+
+
 def test_classify_cyclic3_table():
     report = qk.classify(qk.MagmaTable.from_rows(CYCLIC3))
     assert report.is_shelf and report.is_spindle and report.is_quandle
@@ -264,19 +346,20 @@ def test_group_validation_rejects_broken_tables():
 
 @pytest.mark.parametrize("changes, error", [
     ({}, None),                        # a list table is frozen, so the group hashes
-    ({"inverse": (0, 1, 1)}, "inverse must list 2"),
-    ({"inverse": (0,)}, "inverse must list 2"),
-    ({"identity": 7}, "identity 7 outside"),
+    ({"table": [[0, 1], [1, 2]]}, "entry 2 at row 1 outside"),
 ])
 def test_group_table_constructor_freezes_and_checks_ranges(changes, error):
-    fields = {"order": 2, "table": [[0, 1], [1, 0]], "identity": 0, "inverse": (0, 1), **changes}
+    fields = {"order": 2, "table": [[0, 1], [1, 0]], **changes}
     if error is not None:
         with pytest.raises(ValueError, match=error):
             qk.GroupTable(**fields)
         return
     g = qk.GroupTable(**fields)
     assert g.table == ((0, 1), (1, 0))
+    assert (g.identity, g.inverse) == (0, (0, 1))
     assert hash(g) == hash(qk.cyclic_group(2)) and g == qk.cyclic_group(2)
+    with pytest.raises(TypeError):  # identity and inverse are read off the table
+        qk.GroupTable(**fields, identity=0)
 
 
 def test_group_json_identity_checked():
@@ -399,6 +482,17 @@ def test_union_spec_rejects_non_actions():
         qk.UnionQuandleSpec(group=z2, set_size=2, action=((0, 1),))
 
 
+@pytest.mark.parametrize("set_size, action, error", [
+    (2, ((0, 1), (1.9, 0)), "action row 1 must hold integers only"),
+    (2, ((0, 1), ("1", 0)), "action row 1 must hold integers only"),
+    (2, ((0, 1), (True, 0)), "action row 1 must hold integers only"),
+    (True, ((0,), (0,)), "set_size must be an integer, got True"),
+])
+def test_union_spec_refuses_coerced_values(set_size, action, error):
+    with pytest.raises(ValueError, match=error):
+        qk.UnionQuandleSpec(qk.cyclic_group(2), set_size, action)
+
+
 def test_union_quandles_are_quandles_for_group_actions(small_groups):
     # natural action of S3 on 3 points: permutation index applied to a point
     perms = list(permutations(range(3)))
@@ -513,7 +607,7 @@ def tables_and_relabelings(draw):
     return qk.MagmaTable.from_rows(rows), tuple(draw(st.permutations(range(n))))
 
 
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=60)
 @given(tables_and_relabelings())
 def test_canonical_form_is_least_and_relabeling_invariant(case):
     m, perm = case
@@ -531,6 +625,8 @@ def test_enumeration_guards():
         qk.enumerate_tables(6, "quandle")
     with pytest.raises(ValueError):
         qk.enumerate_tables(0, "quandle")
+    with pytest.raises(ValueError, match="order must be an integer, got True"):
+        qk.enumerate_tables(True, "quandle")
     with pytest.raises(ValueError):
         qk.enumerate_tables(2, "rack")
 

@@ -1,10 +1,13 @@
 """Realization-level tests: pinned operation values, carrier closure,
 convex identities, and the sphere-to-projection embedding."""
 
+import json
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import quandlekit as qk
 
@@ -390,6 +393,24 @@ def test_make_realization_names():
         assert r.name == name
     with pytest.raises(ValueError):
         qk.make_realization("octonion")
+
+
+@pytest.mark.parametrize("name", ["matrix-hermitian", "matrix-general", "convex-flow",
+                                  "convex-spindle", "fixed-spectrum"])
+@pytest.mark.parametrize("dim", [2.7, True, "2"])
+def test_make_realization_refuses_non_integer_dim(name, dim):
+    with pytest.raises(ValueError, match=f"dim must be an integer, got {dim!r}"):
+        qk.make_realization(name, dim=dim)
+
+
+@settings(max_examples=40)
+@given(st.sampled_from(qk.REALIZATION_NAMES), st.integers(min_value=0, max_value=2**32 - 1))
+def test_decode_inverts_encode_on_samples(name, seed):
+    r = qk.make_realization(name, dim=3)
+    x = r.sample(np.random.default_rng(seed))
+    back = r.decode(json.loads(json.dumps(r.encode(x))))
+    assert type(back) is type(x)
+    assert np.array_equal(np.asarray(back), np.asarray(x))
 
 
 def test_make_realization_fixed_spectrum_default():

@@ -3,6 +3,7 @@ RK4 convergence, trajectory output, and the fixes-each-other verdicts."""
 
 import io
 import math
+import re
 
 import numpy as np
 import pytest
@@ -49,6 +50,25 @@ def test_verify_axioms_tolerance_override():
 def test_verify_axioms_validates_samples():
     with pytest.raises(ValueError):
         qk.verify_axioms(qk.bloch(), samples=0)
+    for bad in (True, 2.5):
+        with pytest.raises(ValueError, match=f"samples must be an integer, got {bad}"):
+            qk.verify_axioms(qk.bloch(), samples=bad)
+
+
+@pytest.mark.parametrize("tol, error", [
+    (math.nan, "tol must be >= 0"),
+    (-1.0, "tol must be >= 0"),
+    (math.inf, "tol must be finite, got inf"),
+    ("1e-8", "tol must be a number"),
+])
+def test_tolerances_must_be_finite_and_non_negative(tol, error):
+    r = qk.matrix_hermitian(2)
+    with pytest.raises(ValueError, match=error):
+        qk.verify_axioms(r, samples=5, tol=tol)
+    with pytest.raises(ValueError, match=error):
+        qk.noether_check(r, qk.PAULI_X, qk.PAULI_Z, tol=tol)
+    with pytest.raises(ValueError, match=error):
+        qk.noether_suite(r, pairs=2, tol=tol)
 
 
 def test_corrupted_realization_fails_self_distributivity():
@@ -85,6 +105,8 @@ def test_numeric_bracket_validation():
         qk.numeric_bracket(r, x, y, h=0.0)
     with pytest.raises(ValueError):
         qk.numeric_bracket(r, x, y, h=-1e-4)
+    with pytest.raises(ValueError, match="step h must be finite, got inf"):
+        qk.numeric_bracket(r, x, y, h=math.inf)
     with pytest.raises(ValueError):
         qk.numeric_bracket(qk.convex_spindle(0.5), x, y)
     u = qk.union_lie()
@@ -169,6 +191,19 @@ def test_integrate_flow_validation():
 
 
 EZ3 = np.array([0.0, 0.0, 1.0])
+
+
+@pytest.mark.parametrize("changes, error", [
+    ({"steps": 2.7}, "steps must be an integer, got 2.7"),
+    ({"steps": True}, "steps must be an integer, got True"),
+    ({"t_end": math.inf}, "t_end must be finite, got inf"),
+    ({"t_end": "1"}, "t_end must be a number, got '1'"),
+])
+@pytest.mark.parametrize("flow", [qk.integrate_flow, qk.sample_flow])
+def test_flows_refuse_coerced_parameters(flow, changes, error):
+    x = np.eye(2, dtype=complex)
+    with pytest.raises(ValueError, match=re.escape(error)):
+        flow(qk.matrix_general(2), x, x, **{"t_end": 1.0, "steps": 10, **changes})
 
 
 def test_rk4_fourth_order_decay_and_endpoint():
@@ -301,6 +336,13 @@ def test_noether_check_validation():
         qk.noether_check(qk.convex_spindle(0.5), None, None)
     with pytest.raises(ValueError):
         qk.noether_check(r, qk.PAULI_X, qk.PAULI_Z, t_samples=1)
+    for bad in (0.0, -3.0, math.nan):
+        with pytest.raises(ValueError, match="t_max must be positive"):
+            qk.noether_check(r, qk.PAULI_X, qk.PAULI_Z, t_max=bad)
+    with pytest.raises(ValueError, match="t_max must be finite"):
+        qk.noether_check(r, qk.PAULI_X, qk.PAULI_Z, t_max=math.inf)
+    with pytest.raises(ValueError, match="t_samples must be an integer, got 41.0"):
+        qk.noether_check(r, qk.PAULI_X, qk.PAULI_Z, t_samples=41.0)
 
 
 def test_noether_suite_consistent_realization():
