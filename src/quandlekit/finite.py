@@ -14,6 +14,7 @@ import operator
 from dataclasses import InitVar, dataclass, field
 from functools import lru_cache
 from itertools import permutations, product
+from typing import ClassVar
 
 import numpy as np
 
@@ -65,20 +66,6 @@ def _freeze_table(rows, order: int | None = None, what: str = "table",
     return table
 
 
-def _rows_from_json(obj, kind: str) -> tuple[list, int]:
-    """The ``table`` rows and declared ``order`` of a table JSON object.
-
-    The entries are left to ``_freeze_table``, to be checked there once,
-    under the name ``f"{kind} JSON 'table'"``.
-    """
-    if not isinstance(obj, dict) or "table" not in obj:
-        raise ValueError(f"{kind} JSON must be an object with a 'table' key")
-    rows = obj["table"]
-    if not isinstance(rows, list) or not all(isinstance(row, list) for row in rows):
-        raise ValueError(f"{kind} JSON 'table' must be a list of rows")
-    return rows, _check_int(obj.get("order", len(rows)), f"{kind} JSON 'order'")
-
-
 @dataclass(frozen=True)
 class MagmaTable:
     """A finite binary operation: ``table[x][y]`` is x acting on y."""
@@ -87,6 +74,8 @@ class MagmaTable:
     table: Table
     # What error messages call the table, e.g. the JSON field it was read from.
     source: InitVar[str] = "table"
+    # What JSON error messages call an object of this class.
+    json_name: ClassVar[str] = "table"
 
     @classmethod
     def from_rows(cls, rows) -> "MagmaTable":
@@ -94,7 +83,9 @@ class MagmaTable:
         return cls(order=len(rows), table=rows)
 
     def __post_init__(self, source: str):
-        object.__setattr__(self, "table", _freeze_table(self.table, self.order, source))
+        table = _freeze_table(self.table, self.order, source)
+        object.__setattr__(self, "order", len(table))
+        object.__setattr__(self, "table", table)
 
     def __call__(self, x: int, y: int) -> int:
         return self.table[x][y]
@@ -104,8 +95,15 @@ class MagmaTable:
 
     @classmethod
     def from_json(cls, obj) -> "MagmaTable":
-        rows, order = _rows_from_json(obj, "table")
-        return cls(order=order, table=rows, source="table JSON 'table'")
+        # The entries are left to _freeze_table, to be checked there once.
+        what = f"{cls.json_name} JSON"
+        if not isinstance(obj, dict) or "table" not in obj:
+            raise ValueError(f"{what} must be an object with a 'table' key")
+        rows = obj["table"]
+        if not isinstance(rows, list) or not all(isinstance(row, list) for row in rows):
+            raise ValueError(f"{what} 'table' must be a list of rows")
+        order = _check_int(obj.get("order", len(rows)), f"{what} 'order'")
+        return cls(order=order, table=rows, source=f"{what} 'table'")
 
 
 @dataclass(frozen=True)
@@ -197,57 +195,50 @@ def inverse_operation(m: MagmaTable) -> MagmaTable:
     return MagmaTable.from_rows(inv_rows)
 
 
+def _first_mismatch(lhs: np.ndarray, rhs: np.ndarray):
+    """The lexicographically first index where two arrays differ, as ints, or None."""
+    bad = np.argwhere(lhs != rhs)
+    return tuple(bad[0].tolist()) if len(bad) else None
+
+
 @dataclass(frozen=True)
-class GroupTable:
+class GroupTable(MagmaTable):
     """A finite group as a Cayley table, fully validated at construction;
     ``identity`` and ``inverse`` are read off the table."""
 
-    order: int
-    table: Table
     identity: int = field(init=False)
     inverse: tuple[int, ...] = field(init=False)
-    # What error messages call the table, e.g. the JSON field it was read from.
-    source: InitVar[str] = "table"
-
-    @classmethod
-    def from_rows(cls, rows) -> "GroupTable":
-        rows = tuple(rows)
-        return cls(order=len(rows), table=rows)
+    json_name: ClassVar[str] = "group"
 
     def __post_init__(self, source: str):
-        t = _freeze_table(self.table, self.order, source)
-        labels = tuple(range(len(t)))
-        e = next((e for e in labels if t[e] == labels and all(t[y][e] == y for y in labels)), None)
-        if e is None:
+        super().__post_init__(source)
+        t = np.array(self.table, dtype=np.intp)
+        labels = np.arange(self.order)
+        # The e whose row and column are both the identity map; at most one is.
+        ids = np.flatnonzero((t == labels).all(axis=1) & (t.T == labels).all(axis=1))
+        if not len(ids):
             raise ValueError("no identity element")
-        inverse = tuple(next((y for y in labels if t[x][y] == e and t[y][x] == e), None)
-                        for x in labels)
-        if None in inverse:
-            raise ValueError(f"element {inverse.index(None)} has no inverse")
-        object.__setattr__(self, "table", t)
+        e = int(ids[0])
+        two_sided = (t == e) & (t.T == e)
+        missing = np.flatnonzero(~two_sided.any(axis=1))
+        if len(missing):
+            raise ValueError(f"element {missing[0]} has no inverse")
         object.__setattr__(self, "identity", e)
-        object.__setattr__(self, "inverse", inverse)
-        for a in labels:
-            for b in labels:
-                ab = t[a][b]
-                for c in labels:
-                    if t[ab][c] != t[a][t[b][c]]:
-                        raise ValueError(f"associativity fails at ({a}, {b}, {c})")
+        object.__setattr__(self, "inverse", tuple(two_sided.argmax(axis=1).tolist()))
+        # Row a: (ab)c against a(bc) for every (b, c).
+        for a in range(self.order):
+            bad = _first_mismatch(t[t[a]], t[a][t])
+            if bad is not None:
+                raise ValueError(f"associativity fails at ({a}, {bad[0]}, {bad[1]})")
 
-    def mul(self, a: int, b: int) -> int:
-        return self.table[a][b]
+    mul = MagmaTable.__call__
 
     def to_json(self) -> dict:
-        return {
-            "order": self.order,
-            "table": [list(r) for r in self.table],
-            "identity": self.identity,
-        }
+        return {**super().to_json(), "identity": self.identity}
 
     @classmethod
     def from_json(cls, obj) -> "GroupTable":
-        rows, order = _rows_from_json(obj, "group")
-        g = cls(order=order, table=rows, source="group JSON 'table'")
+        g = super().from_json(obj)
         identity = _check_int(obj.get("identity", g.identity), "group JSON 'identity'")
         if identity != g.identity:
             raise ValueError(f"declared identity {identity} but table identity is {g.identity}")
@@ -255,6 +246,7 @@ class GroupTable:
 
 
 def cyclic_group(n: int) -> GroupTable:
+    _check_int(n, "cyclic group order n", 1)
     return GroupTable.from_rows([[(i + j) % n for j in range(n)] for i in range(n)])
 
 
@@ -280,54 +272,38 @@ def dihedral_group(n: int) -> GroupTable:
 def symmetric_group(n: int) -> GroupTable:
     """All permutations of n points in lexicographic order, composed so that
     the right factor applies first."""
-    perms = list(permutations(range(n)))
-    index = {p: i for i, p in enumerate(perms)}
-    rows = [
-        [index[tuple(p[q[i]] for i in range(n))] for q in perms]
-        for p in perms
-    ]
-    return GroupTable.from_rows(rows)
+    perms = _permutation_stack(_check_int(n, "symmetric group degree n", 0))[0]
+    # Base-n codes rise with the lexicographic order, so a search finds indices.
+    weights = n ** np.arange(n - 1, -1, -1)
+    # perms[:, perms][p, q] is p after q: the map i -> p[q[i]].
+    products = np.searchsorted(perms @ weights, perms[:, perms] @ weights)
+    return GroupTable.from_rows(products.tolist())
 
 
 def quaternion_group() -> GroupTable:
     """The eight unit quaternions; index = 2*unit + (1 if negative) with
     units ordered 1, i, j, k."""
-    unit_mul = {
-        (0, 0): (0, 1), (0, 1): (1, 1), (0, 2): (2, 1), (0, 3): (3, 1),
-        (1, 0): (1, 1), (1, 1): (0, -1), (1, 2): (3, 1), (1, 3): (2, -1),
-        (2, 0): (2, 1), (2, 1): (3, -1), (2, 2): (0, -1), (2, 3): (1, 1),
-        (3, 0): (3, 1), (3, 1): (2, 1), (3, 2): (1, -1), (3, 3): (0, -1),
-    }
-    rows = []
-    for a in range(8):
-        ua, sa = a // 2, -1 if a % 2 else 1
-        row = []
-        for b in range(8):
-            ub, sb = b // 2, -1 if b % 2 else 1
-            uc, sc = unit_mul[(ua, ub)]
-            row.append(2 * uc + (1 if sa * sb * sc < 0 else 0))
-        rows.append(row)
-    return GroupTable.from_rows(rows)
+    # The product of two units is the unit whose index is the XOR of theirs,
+    # negated for i*i, j*j, k*k, i*k, j*i and k*j.
+    minus = {(1, 1), (2, 2), (3, 3), (1, 3), (2, 1), (3, 2)}
+    return GroupTable.from_rows([
+        [2 * (a // 2 ^ b // 2) + (a % 2 ^ b % 2 ^ ((a // 2, b // 2) in minus)) for b in range(8)]
+        for a in range(8)
+    ])
 
 
 def direct_product(g: GroupTable, h: GroupTable) -> GroupTable:
-    m = h.order
-    size = g.order * m
-    rows = [
-        [g.table[a // m][b // m] * m + h.table[a % m][b % m] for b in range(size)]
-        for a in range(size)
-    ]
-    return GroupTable.from_rows(rows)
+    """Pairs (a, b), at index a * h.order + b, multiplied componentwise."""
+    m, size = h.order, g.order * h.order
+    a, b = np.array(g.table), np.array(h.table)
+    pairs = a[:, None, :, None] * m + b[:, None, :]  # [a1, a2, b1, b2]
+    return GroupTable.from_rows(pairs.reshape(size, size).tolist())
 
 
 def conjugation_quandle(g: GroupTable) -> MagmaTable:
     """The group itself with x acting on y as x*y*x^-1."""
-    n = g.order
-    rows = [
-        [g.table[g.table[x][y]][g.inverse[x]] for y in range(n)]
-        for x in range(n)
-    ]
-    return MagmaTable.from_rows(rows)
+    t = np.array(g.table)
+    return MagmaTable.from_rows(t[t, np.array(g.inverse)[:, None]].tolist())
 
 
 def prenoether_holds(m: MagmaTable) -> tuple[bool, tuple[int, int] | None]:
@@ -360,15 +336,16 @@ class UnionQuandleSpec:
         n, m = self.group.order, _check_int(self.set_size, "set_size", 0)
         act = _freeze_table(self.action, n, "action", m)
         object.__setattr__(self, "action", act)
-        moved = [p for p in range(m) if act[self.group.identity][p] != p]
-        if moved:
+        act = np.array(act, dtype=np.intp)
+        moved = np.flatnonzero(act[self.group.identity] != np.arange(m))
+        if len(moved):
             raise ValueError(f"identity must act trivially; moves point {moved[0]}")
-        for g in range(n):
-            for h in range(n):
-                gh = self.group.table[g][h]
-                for p in range(m):
-                    if act[gh][p] != act[g][act[h][p]]:
-                        raise ValueError(f"action law fails at (g={g}, h={h}, p={p})")
+        g = np.array(self.group.table, dtype=np.intp)
+        # Row x: (xh)p against x(hp) for every (h, p).
+        for x in range(n):
+            bad = _first_mismatch(act[g[x]], act[x][act])
+            if bad is not None:
+                raise ValueError(f"action law fails at (g={x}, h={bad[0]}, p={bad[1]})")
 
 
 def union_quandle(spec: UnionQuandleSpec) -> MagmaTable:
@@ -401,7 +378,7 @@ _FREE_LABELS = 6
 @lru_cache(maxsize=None)
 def _permutation_stack(m: int) -> tuple[np.ndarray, np.ndarray]:
     """All permutations of range(m), one per row, and their inverses."""
-    perms = np.array(list(permutations(range(m))), dtype=np.intp).reshape(-1, m)
+    perms = np.array(list(permutations(range(m))), dtype=np.intp)
     inverses = np.empty_like(perms)
     inverses[np.arange(len(perms))[:, None], perms] = np.arange(m)
     return perms, inverses

@@ -134,12 +134,12 @@ def eigh(a) -> tuple[np.ndarray, np.ndarray]:
     Returns ``(values, vectors)`` with real eigenvalues ascending and the
     matching eigenvectors as columns.
     """
-    return np.linalg.eigh(hermitize(require_hermitian(a)))
+    return np.linalg.eigh(require_hermitian(a))
 
 
 def spectrum(a) -> np.ndarray:
     """Real eigenvalues of a Hermitian matrix, sorted ascending."""
-    return np.linalg.eigvalsh(hermitize(require_hermitian(a)))
+    return np.linalg.eigvalsh(require_hermitian(a))
 
 
 def random_complex(rng: np.random.Generator, dim: int) -> np.ndarray:
@@ -201,11 +201,12 @@ def _check_real(value, what: str, allow_zero: bool = False) -> float:
     return value
 
 
-def _json_vector(obj, what: str):
-    """``obj`` unchanged; if it is a list, an entry that is not a JSON number is refused."""
-    if isinstance(obj, list):
-        for c in obj:
-            _check_number(c, f"{what} entry")
+def _json_vector(obj, what: str) -> list:
+    """``obj`` unchanged if it is a list of JSON numbers; anything else is refused."""
+    if not isinstance(obj, list):
+        raise ValueError(f"{what} must be a list of numbers, got {obj!r}")
+    for c in obj:
+        _check_number(c, f"{what} entry")
     return obj
 
 

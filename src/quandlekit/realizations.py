@@ -99,7 +99,7 @@ class UnionElement:
         if part not in ("algebra", "space"):
             raise ValueError(f"part must be 'algebra' or 'space', got {part!r}")
         if part == "algebra":
-            value = float(value)
+            value = float(_check_number(value, "algebra value"))
             if not math.isfinite(value):
                 raise ValueError("algebra value must be finite")
         else:
@@ -401,7 +401,7 @@ def convex_spindle(bias: float = 0.5, dim: int = 3, body: str = "box") -> Realiz
     Not a t-family: the parameter passed to op is ignored.  Left translations
     are generally not bijections on the body, so this is a spindle only.
     """
-    bias = float(bias)
+    bias = float(_check_number(bias, "bias"))
     if not 0.0 <= bias <= 1.0:
         raise ValueError(f"bias must lie in [0, 1], got {bias}")
     dim = _check_int(dim, "dim", 1, MAX_DIM)

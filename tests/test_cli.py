@@ -4,6 +4,8 @@ Most tests drive ``main(argv)`` in process; one round-trips the installed
 console script to make sure the entry point is wired up.
 """
 
+import contextlib
+import copy
 import csv
 import io
 import json
@@ -14,6 +16,8 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import quandlekit as qk
 from quandlekit.cli import main
@@ -311,6 +315,97 @@ def test_flow_refuses_coerced_vector(capsys, tmp_path):
     assert code == 2
     assert out == ""
     assert "vector JSON entry must be a number, got True" in err
+
+
+@pytest.mark.parametrize("realization, x, y, error", [
+    ("bloch", {}, [1.0, 0.0, 0.0], "vector JSON must be a list of numbers, got {}"),
+    ("union", {"part": "algebra", "value": 1.0}, {"part": "space", "value": {}},
+     "union element JSON 'value' must be a list of numbers, got {}"),
+])
+def test_flow_refuses_non_list_vector(capsys, tmp_path, realization, x, y, error):
+    x, y = write_json(tmp_path / "x.json", x), write_json(tmp_path / "y.json", y)
+    code, out, err = run_cli(capsys, "flow", "--realization", realization, "--x", x, "--y", y)
+    assert (code, out, err) == (2, "", f"error: {error}\n")
+
+
+# ---------------------------------------------------------------------------
+# exit-code contract on malformed input
+
+# Valid inputs of each kind and the command that reads them from --x (or as
+# the file argument); the property breaks one part of the input at random.
+VALID_INPUTS = {
+    "table": (CYCLIC3, ["classify", "{x}"]),
+    "matrix": (qk.matrix_to_json(qk.PAULI_Z), ["flow", "--realization", "matrix-hermitian",
+                                                "--x", "{x}", "--y", "{y}", "--steps", "3"]),
+    "spectrum": (qk.matrix_to_json(qk.PAULI_Z), ["bracket", "--realization", "fixed-spectrum",
+                                                  "--x", "{x}", "--y", "{y}"]),
+    "vector": ([0.0, 0.0, 1.0], ["flow", "--realization", "bloch",
+                                 "--x", "{x}", "--y", "{y}", "--steps", "3"]),
+}
+JSON_LEAVES = (st.none() | st.booleans() | st.integers(min_value=-3, max_value=3)
+               | st.floats() | st.text(max_size=3))
+JSON_VALUES = st.recursive(
+    JSON_LEAVES,
+    lambda kids: st.lists(kids, max_size=3)
+    | st.dictionaries(st.sampled_from(["order", "table", "dim", "re", "im"]), kids, max_size=3),
+    max_leaves=8,
+)
+
+
+def json_paths(obj, path=()):
+    """Every position in a JSON value, as a key path from the top."""
+    yield path
+    if isinstance(obj, (dict, list)):
+        for key, value in obj.items() if isinstance(obj, dict) else enumerate(obj):
+            yield from json_paths(value, path + (key,))
+
+
+@st.composite
+def malformed_inputs(draw):
+    kind = draw(st.sampled_from(sorted(VALID_INPUTS)))
+    valid, argv = VALID_INPUTS[kind]
+    obj = copy.deepcopy(valid)
+    path = draw(st.sampled_from(list(json_paths(obj))))
+    if not path:
+        obj = draw(JSON_VALUES)
+    else:
+        parent = obj
+        for key in path[:-1]:
+            parent = parent[key]
+        if isinstance(parent, dict) and draw(st.booleans()):
+            del parent[path[-1]]
+        else:
+            parent[path[-1]] = draw(JSON_VALUES)
+    text = json.dumps(obj)  # NaN and Infinity stay in, as Python writes them
+    if draw(st.integers(min_value=0, max_value=9)) == 0:
+        text = text[: draw(st.integers(min_value=0, max_value=len(text)))]
+    return kind, text, argv
+
+
+@pytest.fixture(scope="module")
+def contract_dir(tmp_path_factory):
+    d = tmp_path_factory.mktemp("contract")
+    (d / "y.json").write_text(json.dumps(qk.matrix_to_json(qk.PAULI_X)))
+    (d / "v.json").write_text(json.dumps([1.0, 0.0, 0.0]))
+    return d
+
+
+@settings(max_examples=120)
+@given(case=malformed_inputs())
+def test_malformed_input_keeps_the_exit_code_contract(contract_dir, case):
+    kind, text, argv = case
+    x = contract_dir / "x.json"
+    x.write_text(text)
+    y = contract_dir / ("v.json" if kind == "vector" else "y.json")
+    argv = [a.format(x=x, y=y) for a in argv]
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    assert code in (0, 1, 2)
+    if code == 2:
+        assert out.getvalue() == "" and err.getvalue().startswith("error: ")
+    if code == 0:
+        assert "NaN" not in out.getvalue() and "Infinity" not in out.getvalue()
 
 
 # ---------------------------------------------------------------------------

@@ -13,7 +13,7 @@ from itertools import permutations, product
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import quandlekit as qk
@@ -108,6 +108,44 @@ def oracle_canonical(table: tuple) -> tuple:
         if best is None or cand < best:
             best = cand
     return best
+
+
+def oracle_group(rows) -> tuple:
+    """("ok", identity, inverse) of a table, or ("error", message): the
+    group-law checks as triple loops, in the order and wording the library
+    reports them."""
+    t = tuple(tuple(r) for r in rows)
+    labels = tuple(range(len(t)))
+    e = next((e for e in labels if t[e] == labels and all(t[y][e] == y for y in labels)), None)
+    if e is None:
+        return "error", "no identity element"
+    inverse = tuple(next((y for y in labels if t[x][y] == e and t[y][x] == e), None)
+                    for x in labels)
+    if None in inverse:
+        return "error", f"element {inverse.index(None)} has no inverse"
+    for a, b, c in product(labels, repeat=3):
+        if t[t[a][b]][c] != t[a][t[b][c]]:
+            return "error", f"associativity fails at ({a}, {b}, {c})"
+    return "ok", e, inverse
+
+
+def oracle_action(g, m: int, act) -> str | None:
+    """The first failure of a group action as the library words it, or None."""
+    moved = [p for p in range(m) if act[g.identity][p] != p]
+    if moved:
+        return f"identity must act trivially; moves point {moved[0]}"
+    for x, h, p in product(range(g.order), range(g.order), range(m)):
+        if act[g.table[x][h]][p] != act[x][act[h][p]]:
+            return f"action law fails at (g={x}, h={h}, p={p})"
+    return None
+
+
+def oracle_symmetric_group(n: int) -> tuple:
+    """The Cayley table of S_n over lexicographically listed permutations,
+    the right factor applied first."""
+    perms = list(permutations(range(n)))
+    index = {p: i for i, p in enumerate(perms)}
+    return tuple(tuple(index[tuple(p[q[i]] for i in range(n))] for q in perms) for p in perms)
 
 
 # ---------------------------------------------------------------------------
@@ -417,6 +455,108 @@ def test_fixture_groups_have_expected_orders(small_groups):
     orders = {name: g.order for name, g in small_groups.items()}
     assert orders["Q8"] == 8 and orders["D4"] == 8 and orders["S3"] == 6
     assert len(small_groups) == 14  # every group of order <= 8
+
+
+def test_order_is_stored_as_the_row_count():
+    for cls in (qk.MagmaTable, qk.GroupTable):
+        m = cls(order=np.int64(2), table=[[0, 1], [1, 0]])
+        assert type(m.order) is int
+        assert json.loads(json.dumps(m.to_json()))["order"] == 2
+
+
+def test_group_table_is_a_magma_table():
+    g = qk.cyclic_group(3)
+    assert isinstance(g, qk.MagmaTable)
+    assert all(g(a, b) == g.mul(a, b) for a in range(3) for b in range(3))
+    report = qk.classify(g)  # x ▷ y = x + y is no shelf
+    got = (report.is_shelf, report.is_spindle, report.is_quandle, report.violations)
+    assert got == oracle_report(np.array(g.table)) and not report.is_shelf
+    assert qk.canonical_form(g) == qk.canonical_form(qk.MagmaTable(g.order, g.table))
+    assert g != qk.MagmaTable(g.order, g.table)  # a group keeps its own type
+
+
+@st.composite
+def near_groups(draw):
+    """A relabeled group of order <= 6 (or, one time in five, an arbitrary
+    table of order 1-6), maybe with a cell or two overwritten, and an action
+    on 0-6 points: the table's own left multiplication, a trivial action or
+    arbitrary rows, with up to two cells overwritten."""
+    groups = [qk.cyclic_group(n) for n in range(1, 7)]
+    groups.append(qk.direct_product(qk.cyclic_group(2), qk.cyclic_group(2)))
+    # S3, the one non-abelian group here, half the time: only there does x*h differ from h*x.
+    g = draw(st.just(qk.symmetric_group(3)) | st.sampled_from(groups))
+    n = g.order
+    if draw(st.integers(min_value=0, max_value=4)):
+        p = np.array(draw(st.permutations(range(n))))
+        t = np.empty((n, n), dtype=np.intp)
+        t[np.ix_(p, p)] = p[np.array(g.table)]
+    else:
+        n = draw(st.integers(min_value=1, max_value=6))
+        t = np.array(draw(st.lists(st.lists(st.integers(0, n - 1), min_size=n, max_size=n),
+                                   min_size=n, max_size=n)))
+    overwrites = st.sampled_from([0, 0, 0, 1, 2])
+    cells = st.integers(min_value=0, max_value=n - 1)
+    for _ in range(draw(overwrites)):
+        t[draw(cells), draw(cells)] = draw(cells)
+    base = draw(st.sampled_from(["regular", "trivial", "random"]))
+    m = n if base == "regular" else draw(st.integers(min_value=0, max_value=3))
+    if base == "regular":
+        act = t.copy()
+    elif base == "trivial":
+        act = np.tile(np.arange(m), (n, 1))
+    else:
+        act = np.array(draw(st.lists(st.lists(st.integers(0, max(m - 1, 0)), min_size=m,
+                                              max_size=m), min_size=n, max_size=n)))
+    act = act.reshape(n, m)
+    if m:
+        points = st.integers(min_value=0, max_value=m - 1)
+        for _ in range(draw(st.integers(min_value=0, max_value=2))):
+            act[draw(cells), draw(points)] = draw(points)
+    return t.tolist(), m, act.tolist()
+
+
+@settings(max_examples=150)
+@given(near_groups())
+# 1 * 2 = 0 but 2 * 1 = 2: a one-sided inverse is not an inverse.
+@example(([[0, 1, 2], [1, 2, 0], [2, 2, 1]], 0, [[], [], []]))
+def test_group_and_action_checks_match_triple_loop_oracle(case):
+    rows, m, act = case
+    want = oracle_group(rows)
+    if want[0] == "error":
+        with pytest.raises(ValueError) as err:
+            qk.GroupTable.from_rows(rows)
+        assert str(err.value) == want[1]
+        return
+    g = qk.GroupTable.from_rows(rows)
+    assert (g.identity, g.inverse) == want[1:]
+    assert all(type(v) is int for v in (g.identity, *g.inverse))
+    want = oracle_action(g, m, act)
+    if want is None:
+        assert qk.UnionQuandleSpec(g, m, act).action == tuple(map(tuple, act))
+    else:
+        with pytest.raises(ValueError) as err:
+            qk.UnionQuandleSpec(g, m, act)
+        assert str(err.value) == want
+
+
+@pytest.mark.parametrize("n", range(6))
+def test_symmetric_group_matches_composition_oracle(n):
+    g = qk.symmetric_group(n)
+    assert g.table == oracle_symmetric_group(n)
+    assert g.identity == 0 and g.order == len(g.table)
+
+
+@pytest.mark.parametrize("build, value, error", [
+    (qk.cyclic_group, True, "cyclic group order n must be an integer, got True"),
+    (qk.cyclic_group, 2.5, "cyclic group order n must be an integer, got 2.5"),
+    (qk.cyclic_group, 0, "cyclic group order n must be >= 1"),
+    (qk.symmetric_group, -1, "symmetric group degree n must be >= 0"),
+    (qk.symmetric_group, 2.5, "symmetric group degree n must be an integer, got 2.5"),
+    (qk.symmetric_group, True, "symmetric group degree n must be an integer, got True"),
+])
+def test_group_builders_check_their_size(build, value, error):
+    with pytest.raises(ValueError, match=error):
+        build(value)
 
 
 # ---------------------------------------------------------------------------

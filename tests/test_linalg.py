@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 import quandlekit as qk
-from quandlekit.linalg import eigh
+from quandlekit.linalg import HERMITICITY_TOL, eigh
 
 SX = np.array([[0, 1], [1, 0]], dtype=complex)
 SY = np.array([[0, -1j], [1j, 0]], dtype=complex)
@@ -258,6 +258,31 @@ def test_eigh_unitary_conjugation_invariance():
     u = qk.expm(1j * h)
     a = u @ d @ u.conj().T
     np.testing.assert_allclose(qk.spectrum(a), [-3.0, 0.25, 1.0, 2.5], atol=1e-8)
+
+
+def test_eigh_on_hermitian_input_is_lapack_on_its_hermitian_part():
+    rng = np.random.default_rng(13)
+    for dim in range(1, 7):
+        a = qk.random_hermitian(rng, dim)
+        values, vectors = eigh(a)
+        want_values, want_vectors = np.linalg.eigh(qk.hermitize(a))
+        assert values.tobytes() == want_values.tobytes()
+        assert vectors.tobytes() == want_vectors.tobytes()
+        assert qk.spectrum(a).tobytes() == np.linalg.eigvalsh(qk.hermitize(a)).tobytes()
+
+
+def test_spectrum_within_tolerance_moves_by_at_most_the_deviation():
+    # LAPACK reads one triangle, so an input within HERMITICITY_TOL of
+    # Hermitian differs from its Hermitian part by at most the deviation
+    # per entry; Weyl's inequality then bounds the move by n times that.
+    rng = np.random.default_rng(14)
+    for dim in range(1, 7):
+        a = qk.random_hermitian(rng, dim, unit_norm=True)
+        a = a + 4e-13 * qk.random_complex(rng, dim)
+        dev = qk.max_abs(a - a.conj().T)
+        assert dev <= HERMITICITY_TOL
+        move = np.max(np.abs(qk.spectrum(a) - np.linalg.eigvalsh(qk.hermitize(a))))
+        assert move <= dim * dev + 1e-15
 
 
 def test_eigh_rejects_non_hermitian():

@@ -264,6 +264,11 @@ def test_convex_spindle_validation():
     with pytest.raises(ValueError):
         qk.convex_spindle(body="ball")
     assert qk.convex_spindle(0.0).family is False
+    for bad in ("0.5", True):  # refused, not parsed or read as 1.0
+        with pytest.raises(ValueError, match=f"bias must be a number, got {bad!r}"):
+            qk.convex_spindle(bias=bad)
+    with pytest.raises(ValueError, match=r"bias must lie in \[0, 1\], got nan"):
+        qk.convex_spindle(bias=float("nan"))
 
 
 # ---------------------------------------------------------------------------
@@ -342,8 +347,11 @@ def test_union_element_validation():
         qk.UnionElement("vector", 1.0)
     with pytest.raises(ValueError):
         qk.UnionElement("space", [1.0, 2.0, 3.0])
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="algebra value must be finite"):
         qk.UnionElement("algebra", float("inf"))
+    for bad in ("0.5", True):
+        with pytest.raises(ValueError, match=f"algebra value must be a number, got {bad!r}"):
+            qk.UnionElement("algebra", bad)
     e = qk.UnionElement("algebra", 2)
     with pytest.raises(AttributeError):
         e.part = "space"
