@@ -13,7 +13,7 @@ from __future__ import annotations
 import operator
 from dataclasses import InitVar, dataclass, field
 from functools import lru_cache
-from itertools import permutations, product
+from itertools import chain, permutations, product
 from typing import ClassVar
 
 import numpy as np
@@ -130,52 +130,57 @@ class StructureReport:
 
 
 def _first_distributivity_violation(t: Table, n: int):
-    for x in range(n):
-        tx = t[x]
-        for y in range(n):
-            ty = t[y]
-            txy = t[tx[y]]
-            for z in range(n):
-                if tx[ty[z]] != txy[tx[z]]:
-                    return (x, y, z)
-    return None
+    """The first (x, y, z) with x(yz) != (xy)(xz), or None.
 
-
-def _first_idempotency_violation(t: Table, n: int):
-    for x in range(n):
-        if t[x][x] != x:
-            return (x, x)
-    return None
-
-
-def _first_bijectivity_violation(t: Table, n: int):
-    for x in range(n):
-        seen = set()
-        for y in range(n):
-            v = t[x][y]
-            if v in seen:
-                return (x, y)
-            seen.add(v)
+    Row x holds when σ_x = x ▷ − is an endomorphism.  A bijective one is an
+    automorphism, and then σ_{σ_x(c)} = σ_x σ_c σ_x⁻¹ holds whenever σ_c does,
+    so rows proven good that way are skipped.  Every row before the first
+    failing one holds, so the first failing cell of that row is the witness.
+    """
+    identity = tuple(range(n))
+    # composed(r)[y * n + z] is r[t[y][z]]: row x compares σ_x σ_y with
+    # σ_{σ_x(y)} σ_x for all y at once.
+    composed = operator.itemgetter(*chain.from_iterable(t))
+    good = [False] * n
+    automorphisms = []
+    for x, tx in enumerate(t):
+        # An identity row holds, and its conjugates are identity rows too.
+        if good[x] or tx == identity:
+            continue
+        take = operator.itemgetter(*tx)
+        lhs, rhs = composed(tx), tuple(chain.from_iterable(map(take, take(t))))
+        if lhs != rhs:
+            return (x, *divmod(list(map(operator.ne, lhs, rhs)).index(True), n))
+        todo = [x]
+        if len(set(tx)) == n:
+            automorphisms.append(tx)
+            todo += [tx[c] for c in range(n) if good[c]]
+        while todo:
+            c = todo.pop()
+            if not good[c]:
+                good[c] = True
+                todo += [a[c] for a in automorphisms]
     return None
 
 
 def classify(m: MagmaTable) -> StructureReport:
-    """Exhaustively check the shelf, spindle and quandle axioms."""
+    """Check the shelf, spindle and quandle axioms.
+
+    Self-distributivity is checked a row at a time, and rows that checked
+    automorphism rows prove good by conjugation are skipped, so a quandle
+    whose rows generate a large group costs a few rows, not n³ cells.
+    """
     t, n = m.table, m.order
-    violations = []
     sd = _first_distributivity_violation(t, n)
-    if sd is not None:
-        violations.append(("self-distributivity", sd))
-    idem = _first_idempotency_violation(t, n)
-    if idem is not None:
-        violations.append(("idempotency", idem))
-    bij = _first_bijectivity_violation(t, n)
-    if bij is not None:
-        violations.append(("bijectivity", bij))
+    idem = next(((x, x) for x in range(n) if t[x][x] != x), None)
+    bij = next(((x, next(y for y, v in enumerate(row) if row.index(v) < y))
+                for x, row in enumerate(t) if len(set(row)) < n), None)
+    named = zip(("self-distributivity", "idempotency", "bijectivity"), (sd, idem, bij))
     is_shelf = sd is None
     is_spindle = is_shelf and idem is None
     is_quandle = is_spindle and bij is None
-    return StructureReport(is_shelf, is_spindle, is_quandle, tuple(violations))
+    return StructureReport(is_shelf, is_spindle, is_quandle,
+                           tuple((name, w) for name, w in named if w is not None))
 
 
 def inverse_operation(m: MagmaTable) -> MagmaTable:
@@ -254,19 +259,9 @@ def dihedral_group(n: int) -> GroupTable:
     """Symmetries of the regular n-gon, order 2n; indices 0..n-1 are the
     rotations r**i, n..2n-1 the reflections s*r**i."""
     _check_int(n, "dihedral order parameter", 1)
-
-    def mul(a, b):
-        ra, ia = divmod(a, n)
-        rb, ib = divmod(b, n)
-        if ra == 0 and rb == 0:
-            return (ia + ib) % n
-        if ra == 0:
-            return n + (ib - ia) % n
-        if rb == 0:
-            return n + (ia + ib) % n
-        return (ib - ia) % n
-
-    return GroupTable.from_rows([[mul(a, b) for b in range(2 * n)] for a in range(2 * n)])
+    r, i = np.divmod(np.arange(2 * n), n)
+    # s^ra r^ia times s^rb r^ib is s^(ra xor rb) r^(ib + ia), or r^(ib - ia) if rb = 1.
+    return GroupTable.from_rows(n * (r[:, None] ^ r) + (i + (1 - 2 * r) * i[:, None]) % n)
 
 
 def symmetric_group(n: int) -> GroupTable:
@@ -424,39 +419,72 @@ def canonical_form(m: MagmaTable) -> Table:
     return tuple(tuple(best[x * n : (x + 1) * n]) for x in range(n))
 
 
-def _row_candidates(order: int, kind: str, i: int) -> list[Row]:
-    if kind == "quandle":
-        return [p for p in permutations(range(order)) if p[i] == i]
-    if kind == "spindle":
-        rest = product(range(order), repeat=order - 1)
-        return [r[:i] + (i,) + r[i:] for r in rest]
-    return list(product(range(order), repeat=order))
+def _search(order: int, kind: str) -> list[Table]:
+    """All order-n tables of the kind, in lexicographic order.
 
+    Branches on the least unplaced row, candidates in lexicographic order, so
+    tables come out sorted.  Each pair of placed rows x, y with v = σ_x(y) is
+    checked once rows x, y and v are all placed; while row v is unplaced, a
+    bijective σ_x forces it to σ_x σ_y σ_x⁻¹, which is a candidate for v.
+    Rows without an inverse force nothing, so shelves share the search.
+    """
+    pool = list(permutations(range(order)) if kind == "quandle"
+                else product(range(order), repeat=order))
+    # Quandle and spindle rows fix their own index; shelf rows are arbitrary.
+    candidates = [[r for r in pool if kind == "shelf" or r[i] == i] for i in range(order)]
+    inverse = {row: tuple(sorted(range(order), key=row.__getitem__))
+               if len(set(row)) == order else None
+               for row in set(chain.from_iterable(candidates))}
+    # take[r](s) is s∘r (a bare int at order 1).
+    take = {row: operator.itemgetter(*row) for row in inverse}
+    rows: list[Row | None] = [None] * order
+    found: list[Table] = []
 
-def _partial_distributive(rows: list[Row], k: int, n: int) -> bool:
-    # Triple (x, y, z) is decidable once rows x, y and rows[x][y] exist; each
-    # is checked exactly once, at the stage where its last row appears.
-    for x in range(k + 1):
-        rx = rows[x]
-        for y in range(k + 1):
-            v = rx[y]
-            if v > k or max(x, y, v) != k:
-                continue
-            ry = rows[y]
-            rv = rows[v]
-            for z in range(n):
-                if rx[ry[z]] != rv[rx[z]]:
-                    return False
-    return True
+    def close(todo: list[int], done: list[int]) -> bool:
+        # A pair is checked when the last of its rows x, y, v joins ``done``.
+        while todo:
+            r = todo.pop()
+            done.append(r)
+            for x in done:
+                tx = rows[x]
+                for y in done:
+                    v = tx[y]
+                    if r != x and r != y and r != v:
+                        continue
+                    ty, tv = rows[y], rows[v]
+                    if tv is None:
+                        ix = inverse[tx]
+                        if ix is not None:
+                            rows[v] = tuple([tx[ty[w]] for w in ix])
+                            todo.append(v)
+                    elif v in done and take[ty](tx) != take[tx](tv):
+                        return False
+        return True
+
+    def descend() -> None:
+        if None not in rows:
+            found.append(tuple(rows))
+            return
+        i = rows.index(None)
+        saved = rows[:]
+        done = [r for r in range(order) if saved[r] is not None]
+        for cand in candidates[i]:
+            rows[i] = cand
+            if close([i], done[:]):
+                descend()
+            rows[:] = saved
+
+    descend()
+    return found
 
 
 def enumerate_tables(order: int, kind: str, up_to_iso: bool = False) -> list[MagmaTable]:
     """All order-n shelves, spindles or quandles, in lexicographic order.
 
     With ``up_to_iso`` the list holds one representative per isomorphism
-    class: the lexicographically least table of the class.  Search is a
-    row-by-row backtracker that checks every self-distributivity triple as
-    soon as its three participating rows are placed.
+    class: the lexicographically least table of the class.  The search
+    places rows and lets every bijective left translation σ_x force the row
+    of σ_x(y) to σ_x σ_y σ_x⁻¹ (each σ_x of a rack is an automorphism).
     """
     if kind not in KINDS:
         raise ValueError(f"kind must be one of {KINDS}, got {kind!r}")
@@ -464,21 +492,7 @@ def enumerate_tables(order: int, kind: str, up_to_iso: bool = False) -> list[Mag
         raise ValueError(
             f"enumeration of {kind}s is limited to order <= {MAX_ORDER[kind]}"
         )
-    candidates = [_row_candidates(order, kind, i) for i in range(order)]
-    found: list[Table] = []
-    rows: list[Row] = []
-
-    def descend(k: int) -> None:
-        if k == order:
-            found.append(tuple(rows))
-            return
-        for cand in candidates[k]:
-            rows.append(cand)
-            if _partial_distributive(rows, k, order):
-                descend(k + 1)
-            rows.pop()
-
-    descend(0)
+    found = _search(order, kind)
     if up_to_iso:
         # ``found`` is sorted and closed under relabeling, so the first table
         # met of each orbit is its least one; the rest of the orbit is marked

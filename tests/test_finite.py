@@ -244,6 +244,9 @@ def near_quandle_tables(draw):
 
 @settings(max_examples=150)
 @given(near_quandle_tables())
+# Row 0 is an endomorphism but no bijection, so it proves nothing about row
+# 2 = 0 ▷ 0, which fails at (2, 1, 0).
+@example(np.array([[2, 2, 2], [1, 1, 1], [0, 2, 2]]))
 def test_classify_matches_brute_force_oracle(t):
     report = qk.classify(qk.MagmaTable.from_rows(t))
     got = (report.is_shelf, report.is_spindle, report.is_quandle, report.violations)
@@ -274,6 +277,43 @@ def test_group_json_round_trips_and_rederives_identity_and_inverse(small_groups,
     assert all(h.inverse[p[x]] == p[g.inverse[x]] for x in range(g.order))
     back = qk.GroupTable.from_json(json.loads(json.dumps(h.to_json())))
     assert back == h and (back.identity, back.inverse) == (h.identity, h.inverse)
+
+
+@st.composite
+def corrupted_large_quandles(draw):
+    """Relabeled conj S3, union S3 on 3, conj S4 or an odd dihedral quandle of
+    order up to 15, with up to two cells overwritten.  Their rows generate
+    large groups, so classify proves most rows good without checking them."""
+    name = draw(st.sampled_from(["conj S3", "union S3 on 3", "conj S4", "dihedral"]))
+    if name == "dihedral":
+        n = draw(st.sampled_from(range(3, 16, 2)))
+        base = (2 * np.arange(n)[:, None] - np.arange(n)) % n
+    elif name == "union S3 on 3":
+        action = [list(p) for p in permutations(range(3))]
+        spec = qk.UnionQuandleSpec(qk.symmetric_group(3), 3, action)
+        base = np.array(qk.union_quandle(spec).table)
+    else:
+        base = np.array(qk.conjugation_quandle(qk.symmetric_group(int(name[-1]))).table)
+    n = len(base)
+    p = np.array(draw(st.permutations(range(n))))
+    t = np.empty_like(base)
+    t[np.ix_(p, p)] = p[base]
+    cells = st.integers(min_value=0, max_value=n - 1)
+    for _ in range(draw(st.integers(min_value=0, max_value=2))):
+        t[draw(cells), draw(cells)] = draw(cells)
+    return t
+
+
+@settings(max_examples=40)
+@given(corrupted_large_quandles())
+# The dihedral quandle of order 5 with only row 4 broken: rows 0 and 1 alone
+# would prove rows 2-4 good, so the break must show in row 0 or 1.
+@example(np.array([[0, 4, 3, 2, 1], [2, 1, 0, 4, 3], [4, 3, 2, 1, 0],
+                   [1, 0, 4, 3, 2], [0, 2, 1, 0, 4]]))
+def test_classify_witnesses_match_oracle_where_rows_are_skipped(t):
+    report = qk.classify(qk.MagmaTable.from_rows(t))
+    got = (report.is_shelf, report.is_spindle, report.is_quandle, report.violations)
+    assert got == oracle_report(t)
 
 
 def test_classify_cyclic3_table():
@@ -373,6 +413,20 @@ def test_mutual_distributivity_order_le_4():
 
 # ---------------------------------------------------------------------------
 # groups
+
+
+@pytest.mark.parametrize("build, message", [
+    (lambda: qk.MagmaTable.from_rows([[0, 2], [1, 0]]), "entry 2 at row 0 outside [0, 2)"),
+    (lambda: qk.MagmaTable.from_rows([[0, 1], [1, -1]]), "entry -1 at row 1 outside [0, 2)"),
+    (lambda: qk.MagmaTable.from_rows([[0, 1, 2], [1, 5, -1], [0, 0, 0]]),
+     "entry 5 at row 1 outside [0, 3)"),
+    (lambda: qk.UnionQuandleSpec(qk.cyclic_group(2), 2, [[0, 1], [2, 0]]),
+     "entry 2 at row 1 outside [0, 2)"),
+])
+def test_out_of_range_entries_name_the_first_one(build, message):
+    with pytest.raises(ValueError) as info:
+        build()
+    assert str(info.value) == message
 
 
 def test_group_validation_rejects_broken_tables():
@@ -669,6 +723,41 @@ def test_iso_classes_match_oracle(kind, n):
 def test_quandle5_counts_frozen_from_oracle():
     assert len(qk.enumerate_tables(5, "quandle")) == QUANDLE5_RAW
     assert len(qk.enumerate_tables(5, "quandle", up_to_iso=True)) == QUANDLE5_CLASSES
+
+
+def oracle_class_count(tables: np.ndarray) -> int:
+    """Isomorphism classes of a stack of tables closed under relabeling: each
+    table not yet seen opens a class and marks its n! relabelings seen."""
+    n = tables.shape[1]
+    perms = np.array(list(permutations(range(n))))
+    inverses = np.argsort(perms, axis=1)
+    index = {t.tobytes(): i for i, t in enumerate(tables)}
+    seen = np.zeros(len(tables), dtype=bool)
+    classes = 0
+    for i, t in enumerate(tables):
+        if not seen[i]:
+            classes += 1
+            # relabeled[k, a, b] = perms[k][t[inv_k[a], inv_k[b]]]
+            old = t[inverses[:, :, None], inverses[:, None, :]]
+            images = np.take_along_axis(perms, old.reshape(len(perms), -1), axis=1)
+            seen[[index[r.tobytes()] for r in images.astype(tables.dtype)]] = True
+    return classes
+
+
+@pytest.mark.parametrize("n, count, classes", [(5, QUANDLE5_RAW, QUANDLE5_CLASSES), (6, 6658, 73)])
+def test_search_gives_every_quandle_beyond_the_oracle_range(n, count, classes):
+    # ``count`` is every labeled quandle of order n (6658 is what the row-by-row
+    # backtracker found with the order cap lifted), so a strictly increasing
+    # list of that many quandles is the exact list; 73 is OEIS A181771.
+    tables = qk.finite._search(n, "quandle")
+    assert len(tables) == count
+    assert all(a < b for a, b in zip(tables, tables[1:]))
+    stack = np.array(tables, dtype=np.int8)
+    diag = np.arange(n)
+    assert oracle_sd_mask(stack).all()
+    assert (stack[:, diag, diag] == diag).all()
+    assert (np.sort(stack, axis=2) == diag).all()
+    assert oracle_class_count(stack) == classes
 
 
 def test_orbit_sizes_sum_to_raw_count():
