@@ -72,9 +72,7 @@ def _realization_from_args(args):
 
 
 def _load_pair(r, args):
-    x = r.decode(_load_json(args.x))
-    y = r.decode(_load_json(args.y))
-    return x, y
+    return r.decode(_load_json(args.x)), r.decode(_load_json(args.y))
 
 
 def cmd_classify(args) -> int:
@@ -127,6 +125,10 @@ def cmd_noether(args) -> int:
         tol=args.tol,
     )
     _emit(summary.to_json(encode=r.encode))
+    if not summary.control_consistent:  # then no pair verdict means anything
+        _say(f"{r.name}: the x = x control failed: a sample does not fix itself"
+             f" within tol {args.tol:.1e}")
+        return 1
     if summary.all_consistent:
         _say(f"{r.name}: all {summary.pairs} pairs consistent")
         return 0

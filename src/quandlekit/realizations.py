@@ -22,8 +22,10 @@ from .linalg import (
     _check_int,
     _check_number,
     _json_vector,
+    _scaled_pair,
     commutator,
     conjugate_by_exp,
+    expm,
     hermitize,
     matrix_from_json,
     matrix_to_json,
@@ -130,8 +132,11 @@ def _fixed_flow(t, value: np.ndarray) -> np.ndarray:
 
 
 def op_matrix_skew(x: np.ndarray, t, y: np.ndarray) -> np.ndarray:
-    """``e^{itX} Y e^{-itX}`` — adjoint flow of a Hermitian generator."""
-    return conjugate_by_exp(1j * x, t, y)
+    """``e^{itX} Y e^{-itX}`` — adjoint flow of a Hermitian generator, as U Y U†
+    with U = e^{itX}: for real t, itX is skew-Hermitian, so e^{-itX} = U⁻¹ = U†."""
+    tx, y = _scaled_pair(1j * x, t, y)
+    u = expm(tx)
+    return u @ y @ u.conj().swapaxes(-1, -2)
 
 
 def op_matrix_plain(x: np.ndarray, t, y: np.ndarray) -> np.ndarray:
@@ -238,21 +243,13 @@ def _encode_vector(v: np.ndarray) -> list:
 
 
 def _matrix_labels(a: np.ndarray) -> list[str]:
-    n = a.shape[0]
-    labels = []
-    for i in range(n):
-        for j in range(n):
-            labels.append(f"re_{i}{j}")
-            labels.append(f"im_{i}{j}")
-    return labels
+    n = range(a.shape[0])
+    return [f"{part}_{i}{j}" for i in n for j in n for part in ("re", "im")]
 
 
 def _matrix_flatten(a: np.ndarray) -> list[float]:
-    out = []
-    for v in np.asarray(a, dtype=np.complex128).ravel():
-        out.append(float(v.real))
-        out.append(float(v.imag))
-    return out
+    a = np.asarray(a, dtype=np.complex128)
+    return np.stack([a.real, a.imag], axis=-1).ravel().tolist()
 
 
 # The metric, JSON encoder and CSV flatteners shared by every realization on
@@ -451,7 +448,7 @@ def fixed_spectrum(eigenvalues) -> Realization:
 
     def sample(rng):
         h = random_hermitian(rng, dim, unit_norm=True)
-        return hermitize(conjugate_by_exp(1j * h, 1.0, base))
+        return hermitize(op_matrix_skew(h, 1.0, base))
 
     def decode(obj):
         return check(require_hermitian(matrix_from_json(obj)))

@@ -155,6 +155,40 @@ def test_noether_exit_codes(capsys):
     assert payload["first_inconsistent"]["consistent"] is False
 
 
+# Every residual, the x = x control's too, is over tol or inf, so each pair
+# is "consistent" only because both of its directions fail.
+FAILED_CONTROL = [
+    ["--realization", "matrix-hermitian", "--pairs", "2", "--tol", "0"],
+    ["--realization", "matrix-general", "--dim", "3", "--pairs", "1", "--t-max", "1e6"],
+    ["--realization", "bloch", "--pairs", "3", "--t-max", "1e308"],
+    ["--realization", "convex-flow", "--pairs", "3", "--t-max", "800"],
+]
+
+
+@pytest.mark.parametrize("argv", FAILED_CONTROL)
+def test_noether_failed_control_exits_one(capsys, argv):
+    with np.errstate(over="ignore", invalid="ignore"):
+        code, out, err = run_cli(capsys, "noether", *argv)
+    payload = json.loads(out)
+    assert payload["control_consistent"] is False and payload["all_consistent"] is True
+    assert code == 1
+    name, tol = argv[1], argv[argv.index("--tol") + 1] if "--tol" in argv else "1e-7"
+    assert err.splitlines() == [f"{name}: the x = x control failed: a sample does not"
+                                f" fix itself within tol {float(tol):.1e}"]
+
+
+def test_noether_overflow_leaks_no_numpy_warning():
+    # A separate process, as below: every expm of the flow overflows.
+    proc = subprocess.run(
+        [sys.executable, "-m", "quandlekit.cli", "noether", *FAILED_CONTROL[1]],
+        capture_output=True, text=True, timeout=60,
+    )
+    assert proc.returncode == 1
+    assert "Warning" not in proc.stderr
+    assert proc.stderr.splitlines() == ["matrix-general: the x = x control failed: a sample"
+                                        " does not fix itself within tol 1.0e-07"]
+
+
 @pytest.mark.parametrize("argv, error", [
     (["verify", "--realization", "bloch", "--tol", "nan"], "tol must be >= 0"),
     (["verify", "--realization", "bloch", "--tol", "inf"], "tol must be finite, got inf"),
@@ -406,6 +440,57 @@ def test_malformed_input_keeps_the_exit_code_contract(contract_dir, case):
         assert out.getvalue() == "" and err.getvalue().startswith("error: ")
     if code == 0:
         assert "NaN" not in out.getvalue() and "Infinity" not in out.getvalue()
+
+
+# ---------------------------------------------------------------------------
+# exit-code contract on verify/noether flag values
+
+REALS = st.sampled_from(["0", "1e-300", "1e-7", "0.5", "3", "800", "1e6", "1e308",
+                         "nan", "inf", "-1"]) | st.floats(allow_nan=False).map(repr)
+SPECTRA = (st.lists(st.sampled_from(["1", "2", "-3", "2.5", "1.0000001", "nan", "x", ""]),
+                    max_size=4).map(",".join))
+FLAG_VALUES = {
+    "--samples": st.integers(min_value=-1, max_value=20).map(str),
+    "--pairs": st.integers(min_value=-1, max_value=4).map(str),
+    "--dim": st.integers(min_value=0, max_value=17).map(str),
+    "--tol": REALS,
+    "--t-max": REALS,
+    "--t-samples": st.integers(min_value=0, max_value=64).map(str),
+    "--spectrum": SPECTRA,
+}
+# The first flag of each command is always given: the default counts (200
+# samples, 100 pairs) would make the property slow.
+COMMAND_FLAGS = {
+    "verify": ("--samples", "--dim", "--tol", "--spectrum"),
+    "noether": ("--pairs", "--dim", "--tol", "--t-max", "--t-samples", "--spectrum"),
+}
+
+
+@st.composite
+def flag_commands(draw):
+    command = draw(st.sampled_from(sorted(COMMAND_FLAGS)))
+    argv = [command, "--realization", draw(st.sampled_from(qk.REALIZATION_NAMES))]
+    for i, flag in enumerate(COMMAND_FLAGS[command]):
+        if i == 0 or draw(st.booleans()):
+            argv.append(f"{flag}={draw(FLAG_VALUES[flag])}")
+    return argv
+
+
+@settings(max_examples=100)
+@given(argv=flag_commands())
+def test_flag_values_keep_the_exit_code_contract(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err), \
+            np.errstate(over="ignore", invalid="ignore"):
+        code = main(argv)
+    out = out.getvalue()
+    assert code in (0, 1, 2)
+    if code == 2:
+        assert out == "" and err.getvalue().startswith("error: ")
+    if code == 0:
+        assert "NaN" not in out and "Infinity" not in out
+        if argv[0] == "noether":
+            assert json.loads(out)["control_consistent"] is True
 
 
 # ---------------------------------------------------------------------------

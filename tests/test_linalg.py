@@ -1,7 +1,8 @@
 """Matrix-core tests.
 
 The hand-rolled expm is checked against independent oracles: a straight
-truncated power series and eigendecomposition-based reconstruction.  The
+truncated power series, eigendecomposition-based reconstruction, and the
+18-step Horner Taylor core it used before its Paterson-Stockmeyer core.  The
 LAPACK-backed eigh/spectrum wrappers are checked for ordering, eigenpair
 residuals and the Hermiticity gate.
 """
@@ -13,6 +14,7 @@ import numpy as np
 import pytest
 
 import quandlekit as qk
+from quandlekit import realizations
 from quandlekit.linalg import HERMITICITY_TOL, eigh
 
 SX = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -29,6 +31,46 @@ def series_expm(x, terms=60):
         term = term @ x / k
         acc = acc + term
     return acc
+
+
+def oracle_expm_horner(x):
+    """The retired expm kernel: the same scaling to Frobenius norm 1/2 and
+    per-member squarings around an 18-step Horner Taylor loop."""
+    x = np.asarray(x, dtype=complex)
+    norm = np.linalg.norm(x, axis=(-2, -1))
+    mantissa, exponent = np.frexp(norm)
+    squarings = np.maximum(exponent + (mantissa > 0.5), 0)
+    scaled = x * np.ldexp(1.0, -squarings)[..., None, None]
+    eye = np.eye(x.shape[-1], dtype=complex)
+    acc = eye
+    for k in range(18, 0, -1):
+        acc = eye + (scaled @ acc) / k
+    for i in range(int(squarings.max())):
+        acc = np.where((squarings > i)[..., None, None], acc @ acc, acc)
+    return acc
+
+
+def seeded_generators(seed, dim, count=500):
+    """``count`` generators of Frobenius norm log-uniform in [1e-3, 30]:
+    Hermitian H, skew-Hermitian iH and general complex in about equal
+    shares.  Returns the stack and, per member, the factor c (1 or i) with
+    X = cH for the first two kinds, or 0 for a general X."""
+    rng = np.random.default_rng([seed, dim])
+    gens, factors = [], []
+    for kind in rng.integers(0, 3, size=count):
+        if kind == 2:
+            g, c = qk.random_complex(rng, dim), 0
+        else:
+            c = 1j if kind else 1.0
+            g = c * qk.random_hermitian(rng, dim)
+        gens.append(g * (10.0 ** rng.uniform(-3, math.log10(30)) / np.linalg.norm(g)))
+        factors.append(c)
+    return np.stack(gens), np.array(factors)
+
+
+def max_abs_rows(a):
+    """max_abs of every member of a stack."""
+    return np.max(np.abs(a), axis=(-2, -1))
 
 
 # ---------------------------------------------------------------------------
@@ -140,7 +182,40 @@ def test_expm_matches_eigendecomposition_oracle():
         x = 2.0 * qk.random_complex(rng, 4)  # large enough to force squaring
         w, v = np.linalg.eig(x)
         oracle = v @ np.diag(np.exp(w)) @ np.linalg.inv(v)
-        assert qk.max_abs(qk.expm(x) - oracle) < 1e-9
+        # Measured at most 5.9e-15 relative on these ten.
+        assert qk.max_abs(qk.expm(x) - oracle) <= 1e-14 * qk.max_abs(oracle)
+
+
+@pytest.mark.parametrize("dim", range(1, 7))
+def test_expm_matches_horner_oracle(dim):
+    # The two cores round differently, and the squarings amplify that: 1.35e-14
+    # relative here, up to 2.3e-14 on other seeded sets of 3000-6000.
+    x, _ = seeded_generators(0, dim)
+    got = qk.expm(x)
+    assert np.all(max_abs_rows(got - oracle_expm_horner(x)) <= 5e-14 * max_abs_rows(got))
+    for single in x[::50]:
+        got = qk.expm(single)
+        assert qk.max_abs(got - oracle_expm_horner(single)) <= 5e-14 * qk.max_abs(got)
+
+
+def test_expm_is_as_accurate_as_horner_against_eigh():
+    # e^{cH} = V diag(e^{cw}) V† for H = V diag(w) V†, on the Hermitian and
+    # skew-Hermitian generators of dims 1-6 (about 2000).
+    errors = {"new": [], "horner": []}
+    for dim in range(1, 7):
+        x, c = seeded_generators(0, dim)
+        x, c = x[c != 0], c[c != 0]
+        w, v = np.linalg.eigh(x / c[:, None, None])
+        oracle = v @ (np.exp(c[:, None] * w)[..., None] * v.conj().swapaxes(-1, -2))
+        for name, kernel in (("new", qk.expm), ("horner", oracle_expm_horner)):
+            errors[name].append(max_abs_rows(kernel(x) - oracle) / max_abs_rows(oracle))
+    new, horner = (np.concatenate(errors[k]) for k in ("new", "horner"))
+    assert np.quantile(new, 0.99) <= 1.1 * np.quantile(horner, 0.99)
+    # The largest error comes from one generator, the same for both kernels
+    # on every seed tried, and which kernel rounds it better is chance: the
+    # ratio of the maxima ranged over 0.88-1.38 on eight seeds.
+    assert new.max() <= 1.5 * horner.max()
+    assert new.max() <= 5e-14
 
 
 @pytest.mark.parametrize("dim", [2, 3, 4, 5, 6])
@@ -214,6 +289,32 @@ def test_conjugation_preserves_exponentials():
         lhs = qk.expm(t * (a @ y @ a_inv))
         rhs = a @ qk.expm(t * y) @ a_inv
         assert qk.max_abs(lhs - rhs) <= 1e-9
+
+
+def test_skew_op_is_the_plain_conjugation_by_i_x():
+    # U Y U† with U = e^{itX} against e^{itX} Y e^{-itX}: measured 7.1e-16
+    # relative here, and at most 2.7e-15 on 300 flows with ||X|| up to 3.
+    rng = np.random.default_rng(9)
+    t = np.linspace(-3.0, 3.0, 41)
+    for dim in range(1, 7):
+        x = qk.random_hermitian(rng, dim, unit_norm=True)
+        y = qk.random_hermitian(rng, dim)
+        got = qk.op_matrix_skew(x, t, y)
+        assert qk.max_abs(got - qk.conjugate_by_exp(1j * x, t, y)) <= 1e-14 * qk.max_abs(y)
+        assert np.array_equal(got[20], y)  # t = 0 exactly
+        assert np.array_equal(qk.op_matrix_skew(x, 0.0, y), y)
+
+
+def test_skew_op_takes_one_exponential(monkeypatch):
+    shapes = []
+    monkeypatch.setattr(realizations, "expm", lambda a: shapes.append(a.shape) or qk.expm(a))
+    qk.op_matrix_skew(SZ, np.linspace(0.0, 1.0, 5), SX)
+    assert shapes == [(5, 2, 2)]
+
+
+def test_skew_op_dimension_mismatch():
+    with pytest.raises(ValueError, match=r"^dimension mismatch: 2 vs 3$"):
+        qk.op_matrix_skew(np.eye(2), 1.0, np.eye(3))
 
 
 # ---------------------------------------------------------------------------

@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import quandlekit as qk
+from quandlekit.verify import PARAM_RANGE, _axiom_terms
 
 EX = np.array([1.0, 0.0, 0.0])
 EY = np.array([0.0, 1.0, 0.0])
@@ -389,6 +390,26 @@ def test_union_sampler_produces_both_parts():
     rng = np.random.default_rng(16)
     parts = {r.sample(rng).part for _ in range(50)}
     assert parts == {"algebra", "space"}
+
+
+# ---------------------------------------------------------------------------
+# axioms at random parameters
+
+
+@settings(max_examples=100)
+@given(
+    name=st.sampled_from(["matrix-hermitian", "matrix-general", "fixed-spectrum"]),
+    dim=st.integers(min_value=1, max_value=6),
+    s=st.floats(min_value=-PARAM_RANGE, max_value=PARAM_RANGE),
+    t=st.floats(min_value=-PARAM_RANGE, max_value=PARAM_RANGE),
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+)
+def test_matrix_realizations_meet_every_axiom(name, dim, s, t, seed):
+    r = qk.make_realization(name, dim=dim)
+    rng = np.random.default_rng(seed)
+    x, y, z = (r.sample(rng) for _ in range(3))
+    for axiom, (term, _) in _axiom_terms(r).items():
+        assert term(x, y, z, s, t) <= r.default_tolerance, axiom
 
 
 # ---------------------------------------------------------------------------
