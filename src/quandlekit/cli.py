@@ -129,6 +129,9 @@ def cmd_noether(args) -> int:
         _say(f"{r.name}: the x = x control failed: a sample does not fix itself"
              f" within tol {args.tol:.1e}")
         return 1
+    if summary.modes_agree is False:
+        _say(f"{r.name}: the sampled and bracket criteria disagree on some pair")
+        return 1
     if summary.all_consistent:
         _say(f"{r.name}: all {summary.pairs} pairs consistent")
         return 0

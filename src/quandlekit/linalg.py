@@ -125,17 +125,15 @@ def _scaled_pair(x, t, y) -> tuple[np.ndarray, np.ndarray]:
     x, y = as_matrix(x), as_matrix(y)
     if x.shape[-1] != y.shape[-1]:
         raise ValueError(f"dimension mismatch: {x.shape[-1]} vs {y.shape[-1]}")
-    return np.asarray(t)[..., None, None] * x, y
+    with np.errstate(over="raise"):
+        return np.asarray(t)[..., None, None] * x, y
 
 
 def conjugate_by_exp(x, t, y) -> np.ndarray:
     """e^{tX} Y e^{-tX}, the inverse taken by negating the exponent.
 
-    No explicit matrix inverse is ever formed.  t is a float or an array
-    that broadcasts against the stack shape of x: a 1-d t with one matrix x
-    gives the stack ``(len(t), n, n)`` of the conjugates, one per t, and a
-    length-N t with stacks of N matrices x (and y) conjugates member by
-    member.
+    No explicit matrix inverse is ever formed.  Leading axes of x, t and y
+    broadcast numpy-style, as in the op of a `Realization`.
     """
     tx, y = _scaled_pair(x, t, y)
     return expm(tx) @ y @ expm(-tx)

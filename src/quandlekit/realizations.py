@@ -52,21 +52,21 @@ class Realization:
     """A carrier with a real-parameter operation and its verification hooks.
 
     ``op(x, t, y)`` is x acting on y for time t; for non-family realizations
-    (``family`` false) the operation is fixed and t is ignored.  t is a float
-    or a 1-d numpy array; an array evaluates the whole flow in one call and
-    returns a sequence of ``len(t)`` elements, the k-th being x acting on y
-    for time ``t[k]``: a ``(T, n, n)`` stack on matrix carriers, a
-    ``(T, d)`` array on vector carriers, a ``(T, 3)`` array of rows on the
-    union.  x and/or y may also be stacks of N elements in that same form,
-    with a length-N t: the k-th output is then ``x[k]`` acting on ``y[k]``
-    for time ``t[k]``, a single x or y acting or acted on throughout.
-    ``metric`` is the distance all tolerances refer to; given two stacks of
-    N elements (or a stack and one element) it returns the N distances
-    member by member.  ``metric(v, 0.0)`` is the norm of a tangent vector v
-    such as a bracket, and ``encode`` writes v as it writes elements.
-    ``vector_carrier`` says whether elements subtract and divide by scalars
-    (needed for difference quotients).  ``generator`` maps an element to the
-    plain-convention matrix generator of its flow, when one exists.
+    (``family`` false) the operation is fixed and t is ignored.  An element
+    is an array whose own axes are trailing: ``(n, n)`` for a matrix,
+    ``(d,)`` for a vector, ``(3,)`` for a union row.  Leading axes of x, t
+    and y broadcast numpy-style, and the result has the broadcast leading
+    shape: a 1-d t gives the whole flow of one x on one y, ``(T, ...)``;
+    stacks of N elements with a length-N t give ``x[k]`` acting on ``y[k]``
+    for time ``t[k]``; x and y of leading shape ``(P, 1)`` with a length-G
+    t give the ``(P, G, ...)`` flows of P pairs.  ``metric`` is the
+    distance all tolerances refer to; its arguments broadcast the same way,
+    giving one distance per member.  ``metric(v, 0.0)`` is the norm of a
+    tangent vector v such as a bracket, and ``encode`` writes v as it writes
+    elements.  ``vector_carrier`` says whether elements subtract and divide
+    by scalars (needed for difference quotients).  ``generator`` maps an
+    element to the plain-convention matrix generator of its flow, when one
+    exists.
     """
 
     name: str
@@ -128,7 +128,7 @@ class UnionElement:
 
 def _fixed_flow(t, value: np.ndarray) -> np.ndarray:
     """``value`` once per time of t: the flow of a t-independent operation."""
-    return np.broadcast_to(value, np.shape(t) + value.shape[-1:])
+    return np.broadcast_to(value, np.broadcast_shapes(np.shape(t) + (1,), value.shape))
 
 
 def op_matrix_skew(x: np.ndarray, t, y: np.ndarray) -> np.ndarray:
@@ -182,8 +182,7 @@ def op_union(x, t, y):
     """Three cases: space elements act trivially; the abelian algebra acts
     trivially on itself; an algebra element of scale a rotates a plane point
     by angle t·a.  Elements are ``[tag, a, b]`` rows (see `UnionElement`),
-    stacks are ``(N, 3)`` arrays of them, and the result is a row or a
-    stack of rows."""
+    and so is the result."""
     x, y = np.asarray(x, dtype=np.float64), np.asarray(y, dtype=np.float64)
     rotated = (planar_rotation(np.asarray(t) * x[..., 1]) @ y[..., 1:, None])[..., 0]
     acts = (x[..., 0] == 0.0) & (y[..., 0] == 1.0)
@@ -206,10 +205,6 @@ def bloch_generator(p: np.ndarray) -> np.ndarray:
 
 # ---------------------------------------------------------------------------
 # metrics, codecs, flatteners
-
-
-# Each metric takes two elements, or stacks of them (one of the two may be a
-# single element), and then gives the distances member by member.
 
 
 def _matrix_metric(a, b):

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import csv
 import math
+import sys
 from dataclasses import dataclass
 from typing import Any, Optional
 
@@ -27,6 +28,9 @@ PARAM_RANGE = 3.0
 NOETHER_TOL = 1e-7
 NOETHER_GRID = 41
 DEFAULT_STEP = 1e-4
+# Members are scored in blocks of at most this many numbers per op output,
+# so that memory stays flat however many pairs or samples there are.
+BLOCK_NUMBERS = 2**15
 
 
 @dataclass(frozen=True)
@@ -133,13 +137,24 @@ class NoetherSummary:
         }
 
 
-def _guarded(fn) -> float:
-    """Score a residual computation; numerical breakdown counts as inf."""
-    try:
-        value = float(fn())
-    except ArithmeticError:
-        return math.inf
-    return value if math.isfinite(value) else math.inf
+def _scores(score, n: int, size: int) -> np.ndarray:
+    """Residuals of n members whose terms hold ``size`` numbers each, by
+    ``score(block)`` on slices of at most BLOCK_NUMBERS numbers.  Nan and inf
+    score inf, and a block that raises an ``ArithmeticError`` is scored again
+    member by member, so only the members that break down score inf."""
+    out = np.empty(n)
+    step = max(1, BLOCK_NUMBERS // size)
+    for start in range(0, n, step):
+        block = slice(start, min(start + step, n))
+        try:
+            out[block] = score(block)
+        except ArithmeticError:
+            for i in range(block.start, block.stop):
+                try:
+                    out[i] = score(slice(i, i + 1))[0]
+                except ArithmeticError:
+                    out[i] = math.inf
+    return np.where(np.isfinite(out), out, math.inf)
 
 
 def _axiom_terms(r: Realization) -> dict:
@@ -178,33 +193,22 @@ def verify_axioms(
     idempotency, inverse-law); fixed-operation ones get the two axioms that
     make sense without a parameter.  Parameters s, t are uniform on
     [-3, 3]; ties in the worst case go to the earliest sample.  Each axiom
-    is evaluated on all samples at once, in one op call per term; if that
-    raises an ``ArithmeticError``, the axiom is evaluated again sample by
-    sample, so that only the samples that break down score inf.
+    is scored by `_scores` in blocks of samples (one block at the usual
+    sample counts), with one op call per term and block.
     """
     samples = _check_int(samples, "samples", 1)
     tolerance = r.default_tolerance if tol is None else _check_real(tol, "tol", allow_zero=True)
     rng = np.random.default_rng(seed)
-    xs, ys, zs, ss, ts = [], [], [], [], []
-    for _ in range(samples):
-        xs.append(r.sample(rng))
-        ys.append(r.sample(rng))
-        zs.append(r.sample(rng))
-        ss.append(float(rng.uniform(-PARAM_RANGE, PARAM_RANGE)))
-        ts.append(float(rng.uniform(-PARAM_RANGE, PARAM_RANGE)))
-    params = {"s": ss, "t": ts}  # as the worst cases name them
+    draws = [(r.sample(rng), r.sample(rng), r.sample(rng),
+              *rng.uniform(-PARAM_RANGE, PARAM_RANGE, 2)) for _ in range(samples)]
+    batch = [np.array(column) for column in zip(*draws)]
+    params = {"s": batch[3].tolist(), "t": batch[4].tolist()}  # as the worst cases name them
     if not r.family:  # a fixed operation ignores its parameter: pass 0
-        ss = ts = [0.0] * samples
-    batch = (np.stack(xs), np.stack(ys), np.stack(zs), np.array(ss), np.array(ts))
+        batch[3] = batch[4] = np.zeros(samples)
 
     reports = []
     for name, (term, keys) in _axiom_terms(r).items():
-        try:
-            res = np.asarray(term(*batch), dtype=float)
-            res = np.where(np.isfinite(res), res, math.inf)
-        except ArithmeticError:
-            res = [_guarded(lambda: term(xs[i], ys[i], zs[i], ss[i], ts[i]))
-                   for i in range(samples)]
+        res = _scores(lambda k: term(*(a[k] for a in batch)), samples, batch[0][0].size)
         i = int(np.argmax(res))
         worst = float(res[i])
         reports.append(
@@ -313,6 +317,42 @@ def write_trajectory_csv(traj: Trajectory, r: Realization, stream) -> None:
         writer.writerow([repr(float(t))] + [repr(v) for v in r.flatten(p)])
 
 
+def _noether_scorer(r: Realization, mode, t_samples, t_max, tol):
+    """Check the arguments of `noether_check` and return its verdicts as a
+    function of pairs (xs[k], ys[k]), each direction scored by `_scores`."""
+    if not r.family:
+        raise ValueError(f"{r.name} has no flow to test for fixing")
+    tol = _check_real(tol, "tol", allow_zero=True)
+    if mode == "sampled":
+        t_max = _check_real(t_max, "t_max")
+        if t_max > sys.float_info.max / 2:  # the grid spans 2 t_max
+            raise ValueError(f"t_max must be at most {sys.float_info.max / 2!r}, got {t_max!r}")
+        grid = np.linspace(-t_max, t_max, _check_int(t_samples, "t_samples", 2))
+        method, size = "sampled", grid.size
+
+        def residual(u, v):  # each pair on the whole grid; a nan or inf distance scores inf
+            return np.max(r.metric(r.op(u[:, None], grid, v[:, None]), v[:, None]), axis=-1)
+    elif mode == "bracket":
+        if r.analytic_bracket is None:
+            raise ValueError(f"{r.name} has no analytic bracket")
+        method, size = "bracket-criterion", 1
+
+        def residual(u, v):
+            return r.metric(r.analytic_bracket(u, v), 0.0)
+    else:
+        raise ValueError(f"mode must be 'sampled' or 'bracket', got {mode!r}")
+
+    def verdicts(xs, ys) -> list:
+        sx, sy = np.array(xs), np.array(ys)
+        res_xy = _scores(lambda k: residual(sx[k], sy[k]), len(xs), size * sx[0].size).tolist()
+        res_yx = _scores(lambda k: residual(sy[k], sx[k]), len(xs), size * sx[0].size).tolist()
+        return [NoetherVerdict(x, y, a <= tol, b <= tol, (a <= tol) == (b <= tol), method,
+                               {"x_fixes_y": a, "y_fixes_x": b})
+                for x, y, a, b in zip(xs, ys, res_xy, res_yx)]
+
+    return verdicts
+
+
 def noether_check(
     r: Realization,
     x,
@@ -329,40 +369,7 @@ def noether_check(
     whether the analytic bracket vanishes (a grid-free criterion, available
     where a bracket is).
     """
-    if not r.family:
-        raise ValueError(f"{r.name} has no flow to test for fixing")
-    tol = _check_real(tol, "tol", allow_zero=True)
-    if mode == "sampled":
-        t_max = _check_real(t_max, "t_max")
-        grid = np.linspace(-t_max, t_max, _check_int(t_samples, "t_samples", 2))
-
-        def direction(a, b) -> float:
-            # np.max of the distances is nan or inf if any one is, and so scores inf.
-            return _guarded(lambda: np.max(r.metric(r.op(a, grid, b), b)))
-
-        res_xy = direction(x, y)
-        res_yx = direction(y, x)
-        method = "sampled"
-    elif mode == "bracket":
-        if r.analytic_bracket is None:
-            raise ValueError(f"{r.name} has no analytic bracket")
-        res_xy = _guarded(lambda: r.metric(r.analytic_bracket(x, y), 0.0))
-        res_yx = _guarded(lambda: r.metric(r.analytic_bracket(y, x), 0.0))
-        method = "bracket-criterion"
-    else:
-        raise ValueError(f"mode must be 'sampled' or 'bracket', got {mode!r}")
-
-    x_fixes_y = res_xy <= tol
-    y_fixes_x = res_yx <= tol
-    return NoetherVerdict(
-        x=x,
-        y=y,
-        x_fixes_y=x_fixes_y,
-        y_fixes_x=y_fixes_x,
-        consistent=x_fixes_y == y_fixes_x,
-        method=method,
-        residuals={"x_fixes_y": res_xy, "y_fixes_x": res_yx},
-    )
+    return _noether_scorer(r, mode, t_samples, t_max, tol)([x], [y])[0]
 
 
 def noether_suite(
@@ -377,26 +384,22 @@ def noether_suite(
 
     Includes a degenerate x = x positive control (idempotency forces both
     directions true) and, where an analytic bracket exists, cross-validates
-    the sampled verdicts against the bracket criterion on every pair.
+    the sampled verdicts against the bracket criterion on every pair.  All
+    pairs are scored together, one op call per direction and block of pairs.
     """
     pairs = _check_int(pairs, "pairs", 1)
+    sampled = _noether_scorer(r, "sampled", t_samples, t_max, tol)
     rng = np.random.default_rng(seed)
+    # The x = x control, then the pairs (x, y), in the order they are drawn.
+    draws = [r.sample(rng) for _ in range(2 * pairs + 1)]
+    xs, ys = draws[:1] + draws[1::2], draws[:1] + draws[2::2]
+    control, *verdicts = sampled(xs, ys)
 
-    control_x = r.sample(rng)
-    control = noether_check(r, control_x, control_x, "sampled", t_samples, t_max, tol)
-    control_consistent = control.consistent and control.x_fixes_y
-
-    verdicts = []
-    modes_agree = True if r.analytic_bracket is not None else None
-    for _ in range(pairs):
-        x = r.sample(rng)
-        y = r.sample(rng)
-        v = noether_check(r, x, y, "sampled", t_samples, t_max, tol)
-        verdicts.append(v)
-        if modes_agree is not None:
-            b = noether_check(r, x, y, "bracket", t_samples, t_max, tol)
-            if b.x_fixes_y != v.x_fixes_y or b.y_fixes_x != v.y_fixes_x:
-                modes_agree = False
+    modes_agree = None
+    if r.analytic_bracket is not None:
+        brackets = _noether_scorer(r, "bracket", t_samples, t_max, tol)(xs[1:], ys[1:])
+        fixes = [[(v.x_fixes_y, v.y_fixes_x) for v in vs] for vs in (verdicts, brackets)]
+        modes_agree = fixes[0] == fixes[1]
 
     bad = [v for v in verdicts if not v.consistent]
     return NoetherSummary(
@@ -405,6 +408,6 @@ def noether_suite(
         inconsistent_count=len(bad),
         first_inconsistent=bad[0] if bad else None,
         modes_agree=modes_agree,
-        control_consistent=control_consistent,
+        control_consistent=control.consistent and control.x_fixes_y,
         verdicts=tuple(verdicts),
     )

@@ -458,3 +458,110 @@ def test_numeric_bracket_is_one_op_call(r):
     assert calls[0] == 1
     h = DEFAULT_STEP
     assert np.array_equal(got, (r.op(x, h, y) - r.op(x, -h, y)) / (2.0 * h))
+
+
+# ---------------------------------------------------------------------------
+# noether_suite against the per-pair loop
+
+
+def oracle_noether_check(r, x, y, mode):
+    """The per-pair check: one op (or bracket) call per direction, each
+    scored alone.  Returns (x_fixes_y residual, y_fixes_x residual)."""
+    if mode == "sampled":
+        def direction(a, b):
+            return guarded(lambda: np.max(r.metric(r.op(a, GRID, b), b)))
+    else:
+        def direction(a, b):
+            return guarded(lambda: r.metric(r.analytic_bracket(a, b), 0.0))
+    return direction(x, y), direction(y, x)
+
+
+def oracle_noether_suite(r, pairs, seed):
+    """The per-pair loop: the x = x control, then each pair drawn, checked
+    and, where a bracket exists, checked again by the bracket criterion."""
+    rng = np.random.default_rng(seed)
+    control = r.sample(rng)
+    cxy, cyx = oracle_noether_check(r, control, control, "sampled")
+    rows, modes_agree = [], True if r.analytic_bracket is not None else None
+    for _ in range(pairs):
+        x, y = r.sample(rng), r.sample(rng)
+        res = oracle_noether_check(r, x, y, "sampled")
+        rows.append((x, y, res))
+        if modes_agree is not None:
+            bracket = oracle_noether_check(r, x, y, "bracket")
+            if [v <= NOETHER_TOL for v in bracket] != [v <= NOETHER_TOL for v in res]:
+                modes_agree = False
+    return {"control_consistent": cxy <= NOETHER_TOL and cyx <= NOETHER_TOL,
+            "modes_agree": modes_agree, "rows": rows}
+
+
+NOETHER_CARRIERS = [qk.matrix_hermitian(2), qk.matrix_hermitian(3), qk.matrix_hermitian(6),
+                    qk.matrix_general(3), qk.fixed_spectrum([1.0, 2.0, 3.0]),
+                    qk.fixed_spectrum([-2.0, -1.0, 0.5, 1.5, 3.0]), qk.bloch(),
+                    qk.convex_flow(3), qk.union_lie(), qk.corrupted_flow(3)]
+
+
+def assert_suite_matches_oracle(r, pairs, seed):
+    got, want = qk.noether_suite(r, pairs=pairs, seed=seed), oracle_noether_suite(r, pairs, seed)
+    assert (got.control_consistent, got.modes_agree) == (want["control_consistent"],
+                                                         want["modes_agree"])
+    assert got.pairs == len(got.verdicts) == pairs
+    for v, (x, y, res) in zip(got.verdicts, want["rows"]):
+        assert repr(list(v.residuals.values())) == repr(list(res))
+        assert (v.x_fixes_y, v.y_fixes_x) == tuple(value <= NOETHER_TOL for value in res)
+        assert v.consistent == (v.x_fixes_y == v.y_fixes_x) and v.method == "sampled"
+        # The verdicts keep the drawn elements themselves, union elements too.
+        assert type(v.x) is type(x)
+        assert np.asarray(v.x).tobytes() == np.asarray(x).tobytes()
+        assert np.asarray(v.y).tobytes() == np.asarray(y).tobytes()
+    bad = [v for v in got.verdicts if not v.consistent]
+    assert got.inconsistent_count == len(bad)
+    assert got.first_inconsistent is (bad[0] if bad else None)
+
+
+@pytest.mark.parametrize("r", NOETHER_CARRIERS, ids=lambda r: f"{r.name}{r.params}")
+@pytest.mark.parametrize("seed", range(6))
+def test_noether_suite_matches_per_pair_oracle_bitwise(r, seed):
+    assert_suite_matches_oracle(r, 6, seed)
+
+
+def test_noether_suite_matches_per_pair_oracle_across_blocks():
+    # 41 × 256 numbers per pair: 21 pairs take several blocks.
+    r = qk.matrix_hermitian(16)
+    counted, calls = counting(r)
+    qk.noether_suite(counted, pairs=20, seed=0)
+    assert calls[0] > 2
+    assert_suite_matches_oracle(r, 20, 0)
+
+
+def test_breakdown_in_one_pair_scores_only_that_direction_inf():
+    base, pairs, seed, k = qk.convex_flow(2), 6, 4, 3
+    rng = np.random.default_rng(seed)
+    draws = [base.sample(rng) for _ in range(2 * pairs + 1)]
+    bad_x = draws[1 + 2 * k]   # the control, then x and y of each pair
+
+    def op(x, t, y):
+        if np.any(np.all(np.asarray(x) == bad_x, axis=-1)):
+            raise OverflowError("breakdown")
+        return base.op(x, t, y)
+
+    broken, calls = counting(qk.Realization(name="broken", carrier=base.carrier, op=op,
+                                            metric=base.metric, sample=base.sample,
+                                            default_tolerance=base.default_tolerance))
+    got = qk.noether_suite(broken, pairs=pairs, seed=seed).verdicts
+    healthy = qk.noether_suite(base, pairs=pairs, seed=seed).verdicts
+    assert got[k].residuals == {"x_fixes_y": math.inf,
+                                "y_fixes_x": healthy[k].residuals["y_fixes_x"]}
+    for i, (v, w) in enumerate(zip(got, healthy)):
+        if i != k:
+            assert v.residuals == w.residuals
+    # x_fixes_y: the block, then each of its members again; y_fixes_x: one block.
+    assert calls[0] == 1 + (pairs + 1) + 1
+
+
+@pytest.mark.parametrize("r", [qk.bloch(), qk.matrix_hermitian(3), qk.union_lie()], ids=by_name)
+def test_noether_suite_op_calls_do_not_grow_with_pairs(r):
+    for pairs in (1, 10, 50):
+        counted, calls = counting(r)
+        qk.noether_suite(counted, pairs=pairs, seed=2)
+        assert calls[0] == 2   # one per direction

@@ -160,8 +160,9 @@ def test_noether_exit_codes(capsys):
 FAILED_CONTROL = [
     ["--realization", "matrix-hermitian", "--pairs", "2", "--tol", "0"],
     ["--realization", "matrix-general", "--dim", "3", "--pairs", "1", "--t-max", "1e6"],
-    ["--realization", "bloch", "--pairs", "3", "--t-max", "1e308"],
     ["--realization", "convex-flow", "--pairs", "3", "--t-max", "800"],
+    # t·X itself overflows, before any exponential is taken.
+    ["--realization", "fixed-spectrum", "--dim", "3", "--pairs", "1", "--t-max", "8.9e307"],
 ]
 
 
@@ -178,15 +179,28 @@ def test_noether_failed_control_exits_one(capsys, argv):
 
 
 def test_noether_overflow_leaks_no_numpy_warning():
-    # A separate process, as below: every expm of the flow overflows.
-    proc = subprocess.run(
-        [sys.executable, "-m", "quandlekit.cli", "noether", *FAILED_CONTROL[1]],
-        capture_output=True, text=True, timeout=60,
-    )
-    assert proc.returncode == 1
-    assert "Warning" not in proc.stderr
-    assert proc.stderr.splitlines() == ["matrix-general: the x = x control failed: a sample"
-                                        " does not fix itself within tol 1.0e-07"]
+    # Separate processes, as below: in process, pytest would capture the
+    # numpy RuntimeWarnings before they reach stderr.
+    for argv in FAILED_CONTROL:
+        proc = subprocess.run(
+            [sys.executable, "-m", "quandlekit.cli", "noether", *argv],
+            capture_output=True, text=True, timeout=60,
+        )
+        assert proc.returncode == 1
+        assert "Warning" not in proc.stderr
+        [line] = proc.stderr.splitlines()
+        assert line.startswith(f"{argv[1]}: the x = x control failed: ")
+
+
+def test_noether_modes_disagreeing_exits_one(capsys):
+    # A grid of full turns only: every pair seems to fix the other, while
+    # the bracket criterion says no pair does.
+    code, out, err = run_cli(capsys, "noether", "--realization", "bloch", "--t-samples", "2",
+                             "--t-max", repr(2 * math.pi), "--pairs", "5")
+    payload = json.loads(out)
+    assert payload["modes_agree"] is False and payload["all_consistent"] is True
+    assert code == 1
+    assert err.splitlines() == ["bloch: the sampled and bracket criteria disagree on some pair"]
 
 
 @pytest.mark.parametrize("argv, error", [
@@ -199,6 +213,8 @@ def test_noether_overflow_leaks_no_numpy_warning():
     (["noether", "--realization", "bloch", "--t-max", "nan"], "t_max must be positive"),
     (["noether", "--realization", "bloch", "--t-max", "inf"], "t_max must be finite, got inf"),
     (["noether", "--realization", "bloch", "--t-max=-3"], "t_max must be positive"),
+    (["noether", "--realization", "bloch", "--t-max", "1e308"],
+     "t_max must be at most 8.988465674311579e+307, got 1e+308"),
 ])
 def test_out_of_range_real_flags_exit_two(capsys, argv, error):
     code, out, err = run_cli(capsys, *argv)
@@ -490,7 +506,8 @@ def test_flag_values_keep_the_exit_code_contract(argv):
     if code == 0:
         assert "NaN" not in out and "Infinity" not in out
         if argv[0] == "noether":
-            assert json.loads(out)["control_consistent"] is True
+            payload = json.loads(out)
+            assert payload["control_consistent"] is True and payload["modes_agree"] is not False
 
 
 # ---------------------------------------------------------------------------

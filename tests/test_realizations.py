@@ -412,6 +412,24 @@ def test_matrix_realizations_meet_every_axiom(name, dim, s, t, seed):
         assert term(x, y, z, s, t) <= r.default_tolerance, axiom
 
 
+@settings(max_examples=100)
+@given(
+    name=st.sampled_from(["bloch", "convex-flow", "union", "convex-spindle"]),
+    dim=st.integers(min_value=1, max_value=6),
+    bias=st.floats(min_value=0.0, max_value=1.0),
+    body=st.sampled_from(["box", "simplex"]),
+    s=st.floats(min_value=-PARAM_RANGE, max_value=PARAM_RANGE),
+    t=st.floats(min_value=-PARAM_RANGE, max_value=PARAM_RANGE),
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+)
+def test_vector_realizations_meet_every_axiom(name, dim, bias, body, s, t, seed):
+    r = qk.make_realization(name, dim=dim, bias=bias, body=body)
+    rng = np.random.default_rng(seed)
+    x, y, z = (r.sample(rng) for _ in range(3))
+    for axiom, (term, _) in _axiom_terms(r).items():
+        assert term(x, y, z, s, t) <= r.default_tolerance, axiom
+
+
 # ---------------------------------------------------------------------------
 # registry and plumbing
 
