@@ -238,7 +238,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ValueError, ArithmeticError, OSError, json.JSONDecodeError) as exc:
+    except (ValueError, ArithmeticError, OSError, MemoryError, json.JSONDecodeError) as exc:
         _say(f"error: {exc}")
         return 2
 

@@ -267,7 +267,7 @@ def dihedral_group(n: int) -> GroupTable:
 def symmetric_group(n: int) -> GroupTable:
     """All permutations of n points in lexicographic order, composed so that
     the right factor applies first."""
-    perms = _permutation_stack(_check_int(n, "symmetric group degree n", 0))[0]
+    perms = _permutation_stack(_check_int(n, "symmetric group degree n", 0))
     # Base-n codes rise with the lexicographic order, so a search finds indices.
     weights = n ** np.arange(n - 1, -1, -1)
     # perms[:, perms][p, q] is p after q: the map i -> p[q[i]].
@@ -356,13 +356,22 @@ def union_quandle(spec: UnionQuandleSpec) -> MagmaTable:
 
 def relabel_table(table: Table, perm: Row) -> Table:
     """Transport the operation along the relabeling old -> perm[old]."""
+    table = _freeze_table(table)
     n = len(table)
-    out = [[0] * n for _ in range(n)]
-    for x in range(n):
-        px = perm[x]
-        for y in range(n):
-            out[px][perm[y]] = perm[table[x][y]]
-    return tuple(tuple(r) for r in out)
+    p = np.asarray(perm)
+    if p.shape != (n,) or p.dtype.kind not in "iu" or (np.sort(p) != np.arange(n)).any():
+        raise ValueError(f"perm must be a permutation of range({n}), got {perm!r}")
+    return tuple(map(tuple, _relabelings(np.array(table), p[None]).reshape(n, n).tolist()))
+
+
+def _relabelings(table: np.ndarray, perms: np.ndarray) -> np.ndarray:
+    """The order-n int ``table``, read row-major, moved along old -> perms[k, old]:
+    one flat relabeling per row of the ``(K, n)`` stack, as a ``(K, n * n)`` array."""
+    k, n = perms.shape
+    inv = np.argsort(perms, axis=1)
+    # Entry (a, b) of row k is perms[k] of the old entry at (inv[k, a], inv[k, b]).
+    old = table.take((inv * n)[:, :, None] + inv[:, None, :]).reshape(k, n * n)
+    return perms.take(old + (np.arange(k) * n)[:, None])
 
 
 # canonical_form gathers relabelings in blocks that fix the images of all but
@@ -371,12 +380,9 @@ _FREE_LABELS = 6
 
 
 @lru_cache(maxsize=None)
-def _permutation_stack(m: int) -> tuple[np.ndarray, np.ndarray]:
-    """All permutations of range(m), one per row, and their inverses."""
-    perms = np.array(list(permutations(range(m))), dtype=np.intp)
-    inverses = np.empty_like(perms)
-    inverses[np.arange(len(perms))[:, None], perms] = np.arange(m)
-    return perms, inverses
+def _permutation_stack(m: int) -> np.ndarray:
+    """All permutations of range(m), one per row, in lexicographic order."""
+    return np.array(list(permutations(range(m))), dtype=np.intp)
 
 
 def canonical_form(m: MagmaTable) -> Table:
@@ -387,36 +393,28 @@ def canonical_form(m: MagmaTable) -> Table:
     block finds that block's least table.
     """
     n = m.order
-    table = np.array(m.table, dtype=np.min_scalar_type(n)).ravel()
+    table = np.array(m.table, dtype=np.min_scalar_type(n))
     free = min(n, _FREE_LABELS)
-    stack, stack_inv = _permutation_stack(free)
-    size = len(stack)
+    stack = _permutation_stack(free)
     # The most base-n digits one non-negative int64 holds.
     digits = min(n * n, max(d for d in range(1, n * n + 1) if n ** d <= 2 ** 63))
     words = -(-n * n // digits)
     weights = np.array([n ** e for e in range(digits - 1, -1, -1)], dtype=np.int64)
-    row_starts = (np.arange(size) * n)[:, None]
-    perm = np.empty((size, n), dtype=np.intp)
-    inv = np.empty((size, n), dtype=np.intp)
+    perm = np.empty((len(stack), n), dtype=np.intp)
     # Zero-padded to whole words; a common padding leaves the order unchanged.
-    relabeled = np.zeros((size, words * digits), dtype=np.int64)
+    relabeled = np.zeros((len(stack), words * digits), dtype=np.int64)
     best_key, best = None, None
     for prefix in permutations(range(n), n - free):
-        # perm[k] sends old label x to perm[k, x]; the relabeled table at
-        # (a, b) is perm[k] of the old entry at (inv[k, a], inv[k, b]).
         rest = sorted(set(range(n)) - set(prefix))
         perm[:, : n - free] = prefix
         perm[:, n - free :] = np.asarray(rest, dtype=np.intp)[stack]
-        inv[:, list(prefix)] = np.arange(n - free)
-        inv[:, rest] = (n - free) + stack_inv
-        old = table.take((inv * n)[:, :, None] + inv[:, None, :]).reshape(size, n * n)
-        relabeled[:, : n * n] = perm.take(old + row_starts)
-        codes = relabeled.reshape(size, words, digits) @ weights
+        relabeled[:, : n * n] = _relabelings(table, perm)
+        codes = relabeled.reshape(len(stack), words, digits) @ weights
         k = np.lexsort(codes.T[::-1])[0]
         key = codes[k].tolist()
         if best_key is None or key < best_key:
-            best_key, best = key, relabeled[k, : n * n].tolist()
-    return tuple(tuple(best[x * n : (x + 1) * n]) for x in range(n))
+            best_key, best = key, relabeled[k, : n * n].reshape(n, n).tolist()
+    return tuple(map(tuple, best))
 
 
 def _search(order: int, kind: str) -> list[Table]:
@@ -495,13 +493,13 @@ def enumerate_tables(order: int, kind: str, up_to_iso: bool = False) -> list[Mag
     found = _search(order, kind)
     if up_to_iso:
         # ``found`` is sorted and closed under relabeling, so the first table
-        # met of each orbit is its least one; the rest of the orbit is marked
-        # seen, and canonicalization runs once per class, not once per table.
+        # met of each orbit is its least; one gather marks its orbit seen.
+        perms = _permutation_stack(order)
         reps: list[Table] = []
-        seen: set[Table] = set()
+        seen: set[tuple[int, ...]] = set()
         for t in found:
-            if t not in seen:
+            if tuple(chain.from_iterable(t)) not in seen:
                 reps.append(t)
-                seen.update(relabel_table(t, p) for p in permutations(range(order)))
+                seen.update(map(tuple, _relabelings(np.array(t), perms).tolist()))
         found = reps
     return [MagmaTable.from_rows(t) for t in found]

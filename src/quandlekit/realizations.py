@@ -524,7 +524,7 @@ _FACTORIES: dict[str, Callable[..., Realization]] = {
     "convex-flow": lambda dim, **_: convex_flow(dim),
     "convex-spindle": lambda dim, bias, body, **_: convex_spindle(bias, dim, body),
     "fixed-spectrum": lambda dim, eigenvalues, **_: fixed_spectrum(
-        np.arange(1.0, _check_int(dim, "dim") + 1) if eigenvalues is None else eigenvalues
+        np.arange(1.0, _check_int(dim, "dim", 1, MAX_DIM) + 1) if eigenvalues is None else eigenvalues
     ),
     "union": lambda **_: union_lie(),
 }

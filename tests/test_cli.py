@@ -215,12 +215,25 @@ def test_noether_modes_disagreeing_exits_one(capsys):
     (["noether", "--realization", "bloch", "--t-max=-3"], "t_max must be positive"),
     (["noether", "--realization", "bloch", "--t-max", "1e308"],
      "t_max must be at most 8.988465674311579e+307, got 1e+308"),
+    (["verify", "--realization", "fixed-spectrum", "--dim", "0"], "dim must be in [1, 16], got 0"),
+    (["verify", "--realization", "fixed-spectrum", "--dim=-2"], "dim must be in [1, 16], got -2"),
+    (["verify", "--realization", "fixed-spectrum", "--dim", "1000000000000000"],
+     "dim must be in [1, 16], got 1000000000000000"),
 ])
 def test_out_of_range_real_flags_exit_two(capsys, argv, error):
     code, out, err = run_cli(capsys, *argv)
     assert code == 2
     assert out == ""
     assert err.splitlines() == [f"error: {error}"]
+
+
+def test_unallocatable_size_exits_two(capsys):
+    # numpy refuses an array this large at once, without allocating it.
+    code, out, err = run_cli(capsys, "noether", "--realization", "bloch", "--pairs", "1",
+                             "--t-samples", "1000000000000000")
+    assert (code, out) == (2, "")
+    [line] = err.splitlines()
+    assert line.startswith("error: Unable to allocate")
 
 
 def test_noether_default_seed_is_deterministic(capsys):
@@ -371,6 +384,9 @@ def test_flow_refuses_coerced_vector(capsys, tmp_path):
     ("bloch", {}, [1.0, 0.0, 0.0], "vector JSON must be a list of numbers, got {}"),
     ("union", {"part": "algebra", "value": 1.0}, {"part": "space", "value": {}},
      "union element JSON 'value' must be a list of numbers, got {}"),
+    # json.load reads NaN and Infinity, so a vector file can hold them.
+    ("convex-flow", [float("nan"), 1.0], [0.0, 1.0], "vector entries must be finite"),
+    ("bloch", [1.0, 0.0, 0.0], [float("inf"), 0.0, 0.0], "vector entries must be finite"),
 ])
 def test_flow_refuses_non_list_vector(capsys, tmp_path, realization, x, y, error):
     x, y = write_json(tmp_path / "x.json", x), write_json(tmp_path / "y.json", y)

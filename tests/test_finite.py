@@ -9,6 +9,7 @@ sweep is too slow for a unit test.
 """
 
 import json
+from functools import cache
 from itertools import permutations, product
 
 import numpy as np
@@ -744,12 +745,18 @@ def oracle_class_count(tables: np.ndarray) -> int:
     return classes
 
 
+@cache
+def searched_quandles(n: int) -> list:
+    """``_search(n, "quandle")``, run once per order for the whole module."""
+    return qk.finite._search(n, "quandle")
+
+
 @pytest.mark.parametrize("n, count, classes", [(5, QUANDLE5_RAW, QUANDLE5_CLASSES), (6, 6658, 73)])
 def test_search_gives_every_quandle_beyond_the_oracle_range(n, count, classes):
     # ``count`` is every labeled quandle of order n (6658 is what the row-by-row
     # backtracker found with the order cap lifted), so a strictly increasing
     # list of that many quandles is the exact list; 73 is OEIS A181771.
-    tables = qk.finite._search(n, "quandle")
+    tables = searched_quandles(n)
     assert len(tables) == count
     assert all(a < b for a, b in zip(tables, tables[1:]))
     stack = np.array(tables, dtype=np.int8)
@@ -758,6 +765,17 @@ def test_search_gives_every_quandle_beyond_the_oracle_range(n, count, classes):
     assert (stack[:, diag, diag] == diag).all()
     assert (np.sort(stack, axis=2) == diag).all()
     assert oracle_class_count(stack) == classes
+
+
+def test_class_sweep_above_the_order_cap(monkeypatch):
+    # With the cap lifted, the sweep over the 6658 labeled quandles of order 6
+    # keeps 73 (OEIS A181771), each the least table of its class.
+    monkeypatch.setitem(qk.finite.MAX_ORDER, "quandle", 6)
+    monkeypatch.setattr(qk.finite, "_search", lambda n, kind: searched_quandles(n))
+    reps = [m.table for m in qk.enumerate_tables(6, "quandle", up_to_iso=True)]
+    assert len(reps) == 73
+    assert all(a < b for a, b in zip(reps, reps[1:]))
+    assert all(qk.canonical_form(qk.MagmaTable.from_rows(t)) == t for t in reps)
 
 
 def test_orbit_sizes_sum_to_raw_count():
@@ -829,8 +847,8 @@ def test_quandle5_classes_match_oracle_canonical_forms():
 
 
 @st.composite
-def tables_and_relabelings(draw):
-    n = draw(st.integers(min_value=1, max_value=7))
+def tables_and_relabelings(draw, max_order=7):
+    n = draw(st.integers(min_value=1, max_value=max_order))
     cells = st.integers(min_value=0, max_value=n - 1)
     rows = draw(st.lists(st.lists(cells, min_size=n, max_size=n), min_size=n, max_size=n))
     return qk.MagmaTable.from_rows(rows), tuple(draw(st.permutations(range(n))))
@@ -843,6 +861,42 @@ def test_canonical_form_is_least_and_relabeling_invariant(case):
     canon = qk.canonical_form(m)
     relabeled = qk.MagmaTable.from_rows(qk.relabel_table(m.table, perm))
     assert qk.canonical_form(relabeled) == canon <= m.table
+
+
+def oracle_relabel(table, perm):
+    """Transport along old -> perm[old], one cell at a time."""
+    n = len(table)
+    out = [[0] * n for _ in range(n)]
+    for x in range(n):
+        for y in range(n):
+            out[perm[x]][perm[y]] = perm[table[x][y]]
+    return tuple(tuple(r) for r in out)
+
+
+@settings(max_examples=80)
+@given(tables_and_relabelings(max_order=8))
+def test_relabel_table_matches_cell_loop_oracle(case):
+    m, perm = case
+    got = qk.relabel_table(m.table, perm)
+    assert got == oracle_relabel(m.table, perm)
+    assert all(type(v) is int for row in got for v in row)
+
+
+@pytest.mark.parametrize("perm", [(0, 0), (1, 0, 5), (1,), (2, 0), (0.0, 1.0), (False, True),
+                                  ("0", "1"), 1])
+def test_relabel_table_refuses_non_permutations(perm):
+    with pytest.raises(ValueError, match=r"perm must be a permutation of range\(2\), got "):
+        qk.relabel_table(((0, 1), (1, 0)), perm)
+
+
+@pytest.mark.parametrize("table, error", [
+    (((0, 1, 1), (1, 0, 1)), "row 0 has length 3, expected 2"),
+    (((0, 1), (1, 5)), r"entry 5 at row 1 outside \[0, 2\)"),
+    (((0, 1), (1, 0.0)), "table row 1 must hold integers only"),
+])
+def test_relabel_table_refuses_malformed_tables(table, error):
+    with pytest.raises(ValueError, match=error):
+        qk.relabel_table(table, (1, 0))
 
 
 def test_enumeration_guards():

@@ -450,6 +450,12 @@ def test_make_realization_refuses_non_integer_dim(name, dim):
         qk.make_realization(name, dim=dim)
 
 
+@pytest.mark.parametrize("dim", [0, -2, 17, 10**15])
+def test_fixed_spectrum_default_spectrum_bounds_dim(dim):
+    with pytest.raises(ValueError, match=rf"dim must be in \[1, 16\], got {dim}$"):
+        qk.make_realization("fixed-spectrum", dim=dim)
+
+
 @settings(max_examples=40)
 @given(st.sampled_from(qk.REALIZATION_NAMES), st.integers(min_value=0, max_value=2**32 - 1))
 def test_decode_inverts_encode_on_samples(name, seed):
