@@ -142,10 +142,8 @@ def cmd_noether(args) -> int:
 def cmd_flow(args) -> int:
     r = _realization_from_args(args)
     x, y = _load_pair(r, args)
-    if args.method == "rk4":
-        traj = integrate_flow(r, x, y, args.t_end, args.steps)
-    else:
-        traj = sample_flow(r, x, y, args.t_end, args.steps)
+    flow = integrate_flow if args.method == "rk4" else sample_flow
+    traj = flow(r, x, y, args.t_end, args.steps)
     write_trajectory_csv(traj, r, sys.stdout)
     _say(f"{r.name}: {len(traj.times)} points on [0, {args.t_end}] via {args.method}")
     return 0

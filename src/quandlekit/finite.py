@@ -87,6 +87,13 @@ class MagmaTable:
         object.__setattr__(self, "order", len(table))
         object.__setattr__(self, "table", table)
 
+    @classmethod
+    def _built(cls, rows) -> "MagmaTable":
+        """A table the library built itself from in-range ints, left unchecked."""
+        m = object.__new__(cls)
+        m.__dict__.update(order=len(rows), table=tuple(map(tuple, rows)))
+        return m
+
     def __call__(self, x: int, y: int) -> int:
         return self.table[x][y]
 
@@ -189,15 +196,11 @@ def inverse_operation(m: MagmaTable) -> MagmaTable:
     Row x of the result is the inverse of the permutation row x of the
     input, so acting and un-acting by the same element cancel both ways.
     """
-    n = m.order
-    inv_rows = [[0] * n for _ in range(n)]
-    for x in range(n):
-        row = m.table[x]
-        if len(set(row)) != n:
-            raise ValueError(f"row {x} is not a bijection; table is not a quandle")
-        for y in range(n):
-            inv_rows[x][row[y]] = y
-    return MagmaTable.from_rows(inv_rows)
+    t = np.array(m.table)
+    broken = np.flatnonzero((np.sort(t, axis=1) != np.arange(m.order)).any(axis=1))
+    if len(broken):
+        raise ValueError(f"row {broken[0]} is not a bijection; table is not a quandle")
+    return MagmaTable._built(np.argsort(t, axis=1).tolist())
 
 
 def _first_mismatch(lhs: np.ndarray, rhs: np.ndarray):
@@ -298,7 +301,7 @@ def direct_product(g: GroupTable, h: GroupTable) -> GroupTable:
 def conjugation_quandle(g: GroupTable) -> MagmaTable:
     """The group itself with x acting on y as x*y*x^-1."""
     t = np.array(g.table)
-    return MagmaTable.from_rows(t[t, np.array(g.inverse)[:, None]].tolist())
+    return MagmaTable._built(t[t, np.array(g.inverse)[:, None]].tolist())
 
 
 def prenoether_holds(m: MagmaTable) -> tuple[bool, tuple[int, int] | None]:
@@ -351,7 +354,7 @@ def union_quandle(spec: UnionQuandleSpec) -> MagmaTable:
     n, m = spec.group.order, spec.set_size
     conj = conjugation_quandle(spec.group).table
     rows = [conj[x] + tuple(n + p for p in spec.action[x]) for x in range(n)]
-    return MagmaTable.from_rows(rows + [tuple(range(n + m))] * m)
+    return MagmaTable._built(rows + [tuple(range(n + m))] * m)
 
 
 def relabel_table(table: Table, perm: Row) -> Table:
@@ -502,4 +505,4 @@ def enumerate_tables(order: int, kind: str, up_to_iso: bool = False) -> list[Mag
                 reps.append(t)
                 seen.update(map(tuple, _relabelings(np.array(t), perms).tolist()))
         found = reps
-    return [MagmaTable.from_rows(t) for t in found]
+    return [MagmaTable._built(t) for t in found]

@@ -353,11 +353,14 @@ def test_non_finite_output_exits_two(capsys, tmp_path, scale, argv, stage):
 @pytest.mark.parametrize("argv, stage", [
     (["flow", "--t-end", "1.5"], "sample_flow at t = 0.9"),
     (["flow", "--t-end", "3"], "sample_flow at t = 0.9"),
+    (["flow", "--t-end", "3", "--method", "rk4", "--steps", "100"],
+     "integrate_flow at t = 2.2199999999999998"),
+    (["flow", "--t-end", "3", "--method", "rk4", "--steps", "1000"], "integrate_flow at t = 0.927"),
     (["bracket", "--h", "1"], "numeric_bracket at t = +/-1.0"),
 ])
 def test_overflow_prints_only_the_error_line(tmp_path, argv, stage):
     # A separate process: in process, pytest would capture the numpy
-    # RuntimeWarnings before they reach stderr.
+    # RuntimeWarnings before they reach stderr.  The line names the cause.
     x = write_json(tmp_path / "x.json", qk.matrix_to_json(400.0 * qk.PAULI_Z))
     y = write_json(tmp_path / "y.json", qk.matrix_to_json(qk.PAULI_X))
     proc = subprocess.run(
@@ -368,7 +371,7 @@ def test_overflow_prints_only_the_error_line(tmp_path, argv, stage):
     assert proc.returncode == 2
     assert proc.stdout == ""
     [line] = proc.stderr.splitlines()
-    assert line.startswith(f"error: {stage}: ")
+    assert line.startswith(f"error: {stage}: overflow encountered in ")
 
 
 def test_flow_refuses_coerced_vector(capsys, tmp_path):

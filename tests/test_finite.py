@@ -721,6 +721,22 @@ def test_iso_classes_match_oracle(kind, n):
     assert ours == oracle
 
 
+def test_engine_built_tables_pass_the_constructor_checks(small_groups):
+    # The engines build their tables unchecked; each must be one the checking
+    # constructor accepts unchanged, held as plain ints.
+    built = [m for kind, cap in qk.finite.MAX_ORDER.items() for n in range(1, cap + 1)
+             for up_to_iso in (False, True) for m in qk.enumerate_tables(n, kind, up_to_iso)]
+    for g in [*small_groups.values(), qk.symmetric_group(5)]:
+        built += [qk.conjugation_quandle(g), qk.inverse_operation(qk.conjugation_quandle(g))]
+    s3 = small_groups["S3"]
+    action = tuple(tuple(p) for p in permutations(range(3)))
+    built.append(qk.union_quandle(qk.UnionQuandleSpec(s3, 3, action)))
+    for m in built:
+        assert type(m) is qk.MagmaTable
+        assert qk.MagmaTable.from_rows(m.table) == m
+        assert all(type(v) is int for row in m.table for v in row)
+
+
 def test_quandle5_counts_frozen_from_oracle():
     assert len(qk.enumerate_tables(5, "quandle")) == QUANDLE5_RAW
     assert len(qk.enumerate_tables(5, "quandle", up_to_iso=True)) == QUANDLE5_CLASSES

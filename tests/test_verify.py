@@ -4,6 +4,7 @@ RK4 convergence, trajectory output, and the fixes-each-other verdicts."""
 import io
 import math
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -200,6 +201,54 @@ def test_numeric_bracket_is_a_lie_bracket_to_second_order(name, dim, h, seed):
 # flow integration
 
 
+def oracle_integrate_flow(r, x, y, t_end, steps):
+    """Classical RK4 stepping the matrices themselves: times and points."""
+    g, cur = qk.as_matrix(r.generator(x)), qk.as_matrix(y)
+
+    def field(m):
+        return g @ m - m @ g
+
+    h = t_end / steps
+    times, points = [0.0], [cur]
+    for k in range(1, steps + 1):
+        k1 = field(cur)
+        k2 = field(cur + 0.5 * h * k1)
+        k3 = field(cur + 0.5 * h * k2)
+        k4 = field(cur + h * k3)
+        cur = cur + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        times.append(k * h)
+        points.append(cur)
+    return tuple(times), points
+
+
+@settings(max_examples=20)
+@given(
+    name=st.sampled_from(["matrix-hermitian", "matrix-general", "fixed-spectrum"]),
+    dim=st.sampled_from([1, 2, 3, 4, 6, 16]),
+    steps=st.sampled_from([1, 7, 40, 300, 3000]),
+    norm=st.floats(-3.0, 1.0).map(lambda e: 10.0**e),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_integrate_flow_matches_stepping_the_matrices(name, dim, steps, norm, seed):
+    # The step matrix reorders the sums of each step, so points may differ by
+    # rounding only: a few ulps of the largest point per step.
+    rng = np.random.default_rng(seed)
+    if name == "fixed-spectrum":  # elements of max-abs norm at most `norm`
+        r = qk.fixed_spectrum(norm * np.arange(1, dim + 1) / dim)
+        x = r.sample(rng)
+    else:
+        r = qk.make_realization(name, dim=dim)
+        x = r.sample(rng)
+        x = x * (norm / qk.max_abs(x))
+    y = r.sample(rng)
+    traj = qk.integrate_flow(r, x, y, t_end=1.0, steps=steps)
+    times, points = oracle_integrate_flow(r, x, y, 1.0, steps)
+    assert traj.times == times
+    assert traj.points[0] is y
+    points = np.array(points)
+    assert qk.max_abs(np.array(traj.points) - points) <= 2e-15 * steps * max(1.0, qk.max_abs(points))
+
+
 def test_integrate_flow_zero_generator_is_constant():
     r = qk.matrix_general(2)
     zero = np.zeros((2, 2), dtype=complex)
@@ -355,6 +404,24 @@ def test_noether_check_union_counterexample():
     assert v.y_fixes_x              # the point acts trivially
     assert not v.consistent
     assert v.residuals["y_fixes_x"] == 0.0
+
+
+def test_noether_check_memory_stays_flat_in_t_samples():
+    # The grid is scored in slices and reduced by an exact max, so a long grid
+    # costs little more than the grid itself and changes no residual.
+    r = qk.bloch()
+    rng = np.random.default_rng(15)
+    x, y = r.sample(rng), r.sample(rng)
+    grid = np.linspace(-3.0, 3.0, 10**6)  # the default t_max
+    whole = [float(np.max(r.metric(r.op(u, grid, v), v))) for u, v in ((x, y), (y, x))]
+    tracemalloc.start()
+    try:
+        v = qk.noether_check(r, x, y, t_samples=10**6)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 20 * 2**20
+    assert [v.residuals["x_fixes_y"], v.residuals["y_fixes_x"]] == whole
 
 
 def test_noether_check_validation():
