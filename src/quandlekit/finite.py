@@ -203,10 +203,13 @@ def inverse_operation(m: MagmaTable) -> MagmaTable:
     return MagmaTable._built(np.argsort(t, axis=1).tolist())
 
 
-def _first_mismatch(lhs: np.ndarray, rhs: np.ndarray):
-    """The lexicographically first index where two arrays differ, as ints, or None."""
-    bad = np.argwhere(lhs != rhs)
-    return tuple(bad[0].tolist()) if len(bad) else None
+def _first_action_failure(g: np.ndarray, act: np.ndarray):
+    """Lexicographically first (x, h, p) with (xh)p != x(hp) under act, as ints, or None."""
+    for x in range(len(g)):
+        bad = np.argwhere(act[g[x]] != act[x][act])
+        if len(bad):
+            return (x, *bad[0].tolist())
+    return None
 
 
 @dataclass(frozen=True)
@@ -233,11 +236,10 @@ class GroupTable(MagmaTable):
             raise ValueError(f"element {missing[0]} has no inverse")
         object.__setattr__(self, "identity", e)
         object.__setattr__(self, "inverse", tuple(two_sided.argmax(axis=1).tolist()))
-        # Row a: (ab)c against a(bc) for every (b, c).
-        for a in range(self.order):
-            bad = _first_mismatch(t[t[a]], t[a][t])
-            if bad is not None:
-                raise ValueError(f"associativity fails at ({a}, {bad[0]}, {bad[1]})")
+        # Associativity is the law of the group acting on itself.
+        bad = _first_action_failure(t, t)
+        if bad is not None:
+            raise ValueError("associativity fails at ({}, {}, {})".format(*bad))
 
     mul = MagmaTable.__call__
 
@@ -339,11 +341,9 @@ class UnionQuandleSpec:
         if len(moved):
             raise ValueError(f"identity must act trivially; moves point {moved[0]}")
         g = np.array(self.group.table, dtype=np.intp)
-        # Row x: (xh)p against x(hp) for every (h, p).
-        for x in range(n):
-            bad = _first_mismatch(act[g[x]], act[x][act])
-            if bad is not None:
-                raise ValueError(f"action law fails at (g={x}, h={bad[0]}, p={bad[1]})")
+        bad = _first_action_failure(g, act)
+        if bad is not None:
+            raise ValueError("action law fails at (g={}, h={}, p={})".format(*bad))
 
 
 def union_quandle(spec: UnionQuandleSpec) -> MagmaTable:

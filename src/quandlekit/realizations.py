@@ -12,7 +12,7 @@ algebra onto the plane it acts on.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Any, Callable, Optional
 
 import numpy as np
@@ -105,6 +105,10 @@ class UnionElement:
             if not math.isfinite(value):
                 raise ValueError("algebra value must be finite")
         else:
+            # float64 arrays, as the sampler draws them, need no per-entry check.
+            if not (isinstance(value, np.ndarray) and value.dtype == np.float64):
+                for c in np.ravel(np.asarray(value, dtype=object)):
+                    _check_number(c, "space value entry")
             value = np.asarray(value, dtype=np.float64)
             if value.shape != (2,) or not np.isfinite(value).all():
                 raise ValueError("space value must be a finite 2-vector")
@@ -139,9 +143,8 @@ def op_matrix_skew(x: np.ndarray, t, y: np.ndarray) -> np.ndarray:
     return u @ y @ u.conj().swapaxes(-1, -2)
 
 
-def op_matrix_plain(x: np.ndarray, t, y: np.ndarray) -> np.ndarray:
-    """``e^{tX} Y e^{-tX}`` on the full matrix algebra."""
-    return conjugate_by_exp(x, t, y)
+#: ``e^{tX} Y e^{-tX}`` on the full matrix algebra.
+op_matrix_plain = conjugate_by_exp
 
 
 def _row_dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -417,9 +420,9 @@ def convex_spindle(bias: float = 0.5, dim: int = 3, body: str = "box") -> Realiz
 
 
 def fixed_spectrum(eigenvalues) -> Realization:
-    """Hermitian matrices with one shared spectrum, closed under the skew
-    flow; every op output, each member of a stack at once by one broadcast
-    ``eigvalsh``, is checked to still carry that spectrum."""
+    """The Hermitian matrices with one spectrum: an adjoint orbit, so a
+    sub-quandle of `matrix_hermitian`.  Every op output, each member of a stack
+    at once by one broadcast ``eigvalsh``, is checked to still carry it."""
     spec = np.sort(np.asarray(eigenvalues, dtype=np.float64))
     if spec.ndim != 1 or spec.size < 1:
         raise ValueError("eigenvalues must be a nonempty 1-d sequence")
@@ -427,7 +430,7 @@ def fixed_spectrum(eigenvalues) -> Realization:
         raise ValueError("eigenvalues must be finite")
     if spec.size > 1 and float(np.min(np.diff(spec))) < SPECTRUM_GAP:
         raise ValueError(f"eigenvalue gaps must be >= {SPECTRUM_GAP}")
-    dim = _check_int(spec.size, "dim", 1, MAX_DIM)
+    herm = matrix_hermitian(spec.size)
     base = np.diag(spec.astype(np.complex128))
 
     def check(a: np.ndarray) -> np.ndarray:
@@ -438,26 +441,13 @@ def fixed_spectrum(eigenvalues) -> Realization:
             )
         return a
 
-    def op(x, t, y):
-        return check(hermitize(op_matrix_skew(x, t, y)))
-
-    def sample(rng):
-        h = random_hermitian(rng, dim, unit_norm=True)
-        return hermitize(op_matrix_skew(h, 1.0, base))
-
-    def decode(obj):
-        return check(require_hermitian(matrix_from_json(obj)))
-
-    return Realization(
+    return replace(
+        herm,
         name="fixed-spectrum",
-        carrier=f"Hermitian {dim}x{dim} matrices with spectrum {spec.tolist()}",
-        op=op,
-        sample=sample,
-        default_tolerance=1e-8,
-        analytic_bracket=lambda x, y: 1j * commutator(x, y),
-        generator=lambda x: 1j * x,
-        decode=decode,
-        **_MATRIX_CODEC,
+        carrier=f"Hermitian {spec.size}x{spec.size} matrices with spectrum {spec.tolist()}",
+        op=lambda x, t, y: check(hermitize(herm.op(x, t, y))),
+        sample=lambda rng: hermitize(herm.op(herm.sample(rng), 1.0, base)),
+        decode=lambda obj: check(herm.decode(obj)),
         params={"spectrum": [float(v) for v in spec]},
     )
 
@@ -474,8 +464,10 @@ def union_lie() -> Realization:
         if not isinstance(obj, dict) or "part" not in obj or "value" not in obj:
             raise ValueError('union element JSON needs "part" and "value"')
         part, value = obj["part"], obj["value"]
-        check = _check_number if part == "algebra" else _json_vector
-        return UnionElement(part, check(value, "union element JSON 'value'"))
+        if part in ("algebra", "space"):  # UnionElement names any other part
+            check = _check_number if part == "algebra" else _json_vector
+            value = check(value, "union element JSON 'value'")
+        return UnionElement(part, value)
 
     def encode(e: UnionElement):
         value = e.value if e.part == "algebra" else [float(c) for c in e.value]
@@ -500,19 +492,13 @@ def corrupted_flow(dim: int = 3) -> Realization:
     Exists so the verifier can be shown to fail loudly; not reachable from
     the command line.
     """
-    dim = _check_int(dim, "dim", 1, MAX_DIM)
-
-    def op(x, t, y):
-        return _fixed_flow(t, y + 1e-3 * x)
-
-    return Realization(
+    return replace(
+        convex_flow(dim),
         name="corrupted",
         carrier=f"{dim}-vectors under a deliberately broken operation",
-        op=op,
-        sample=lambda rng: rng.uniform(-1.0, 1.0, size=dim),
+        op=lambda x, t, y: _fixed_flow(t, y + 1e-3 * x),
         default_tolerance=1e-8,
-        **_vector_codec(dim),
-        params={"dim": dim},
+        analytic_bracket=None,
     )
 
 

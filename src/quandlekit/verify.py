@@ -254,8 +254,9 @@ def numeric_bracket(r: Realization, x, y, h: float = DEFAULT_STEP):
 
 def integrate_flow(r: Realization, x, y, t_end: float, steps: int) -> Trajectory:
     """Classical Runge–Kutta for Ẏ = [gen(x), Y] from Y(0) = y, applied as its n²×n²
-    step matrix, one vector-matrix product per step: points may differ from 0.1.0's
-    matrix stepping in the last digits, within about 2e-15 · steps · max(1, max|p|)."""
+    step matrix S, one vector-matrix product per step.  A step rounds relative to
+    max|S|·max|y| of the point y it steps, so points may differ from 0.1.0's matrix
+    stepping by about 1.1e-15 · steps · max(1, max|S|) · max|p| (measured, dims 1-16)."""
     if r.generator is None:
         raise ValueError(f"{r.name} has no matrix generator to integrate")
     steps = _check_int(steps, "steps", 1)

@@ -387,6 +387,9 @@ def test_flow_refuses_coerced_vector(capsys, tmp_path):
     ("bloch", {}, [1.0, 0.0, 0.0], "vector JSON must be a list of numbers, got {}"),
     ("union", {"part": "algebra", "value": 1.0}, {"part": "space", "value": {}},
      "union element JSON 'value' must be a list of numbers, got {}"),
+    # The part is checked before the value check it would choose.
+    ("union", {"part": "bogus", "value": 1.0}, {"part": "space", "value": [1.0, 0.0]},
+     "part must be 'algebra' or 'space', got 'bogus'"),
     # json.load reads NaN and Infinity, so a vector file can hold them.
     ("convex-flow", [float("nan"), 1.0], [0.0, 1.0], "vector entries must be finite"),
     ("bloch", [1.0, 0.0, 0.0], [float("inf"), 0.0, 0.0], "vector entries must be finite"),

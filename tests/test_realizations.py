@@ -353,9 +353,21 @@ def test_union_element_validation():
     for bad in ("0.5", True):
         with pytest.raises(ValueError, match=f"algebra value must be a number, got {bad!r}"):
             qk.UnionElement("algebra", bad)
+    for value, bad in (([0.5, True], True), (["0.5", 1.0], "0.5"), (np.array([True, False]), True)):
+        with pytest.raises(ValueError, match=f"space value entry must be a number, got {bad!r}"):
+            qk.UnionElement("space", value)
     e = qk.UnionElement("algebra", 2)
     with pytest.raises(AttributeError):
         e.part = "space"
+
+
+def test_union_space_value_keeps_numbers():
+    for value in ([1, 0.5], (0.5, 2), np.array([1, 2]), np.float32([0.5, 1.5])):
+        e = qk.UnionElement("space", value)
+        assert e.value.dtype == np.float64 and np.array_equal(e.value, np.asarray(value, float))
+    # A float64 array, as the sampler draws it, is kept as it is.
+    v = np.array([0.25, -0.5])
+    assert qk.UnionElement("space", v).value is v
 
 
 def test_union_metric_and_codec():
@@ -383,6 +395,14 @@ def test_union_metric_and_codec():
 def test_union_decode_refuses_non_numbers(bad):
     with pytest.raises(ValueError, match="union element JSON 'value'"):
         qk.union_lie().decode(bad)
+
+
+@pytest.mark.parametrize("part", ["bogus", ["space"], None])
+def test_union_decode_names_a_bad_part_first(part):
+    for value in (1.0, [1.0, 2.0], {}):
+        with pytest.raises(ValueError) as exc:
+            qk.union_lie().decode({"part": part, "value": value})
+        assert str(exc.value) == f"part must be 'algebra' or 'space', got {part!r}"
 
 
 def test_union_sampler_produces_both_parts():

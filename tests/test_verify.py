@@ -1,6 +1,7 @@
 """Verification-engine tests: report plumbing, bracket recovery order,
 RK4 convergence, trajectory output, and the fixes-each-other verdicts."""
 
+import dataclasses
 import io
 import math
 import re
@@ -321,6 +322,57 @@ def test_sample_flow_grid_and_endpoint():
     assert np.allclose(traj.points[-1], r.op(x, 2.0, y))
     with pytest.raises(ValueError):
         qk.sample_flow(qk.convex_spindle(0.5), y, y, 1.0, 4)
+
+
+# Where an op or a numpy reports no FP flag, a non-finite result is still
+# refused after the fact, with the time it first shows at.
+X2, Y2 = np.array([1.0, 0.0]), np.array([0.0, 1.0])
+
+
+def infinite_from(cutoff: float) -> qk.Realization:
+    """convex-flow, but inf at every t >= cutoff, without raising."""
+    base = qk.convex_flow(2)
+
+    def op(x, t, y):
+        return np.where(np.asarray(t)[..., None] >= cutoff, math.inf, base.op(x, t, y))
+
+    return dataclasses.replace(base, op=op)
+
+
+def test_sample_flow_names_the_first_non_finite_time():
+    with pytest.raises(ArithmeticError, match=r"^sample_flow at t = 0\.5: non-finite result$"):
+        qk.sample_flow(infinite_from(0.5), X2, Y2, t_end=1.0, steps=4)
+
+
+def test_numeric_bracket_refuses_a_non_finite_quotient():
+    # inf at +h only: inf minus a finite point raises no flag.
+    error = r"^numeric_bracket at t = \+/-0\.001: non-finite result$"
+    with pytest.raises(ArithmeticError, match=error):
+        qk.numeric_bracket(infinite_from(0.0), X2, Y2, h=1e-3)
+
+
+@pytest.mark.parametrize("steps, t", [(100, 2.2199999999999998), (1000, 0.927)])
+def test_integrate_flow_refuses_overflow_without_fp_flags(monkeypatch, steps, t):
+    # As on a numpy whose matmul reports no FP flags: the backstop names the
+    # time that the overflow flag names where matmul does report it.
+    errstate = np.errstate
+    monkeypatch.setattr(np, "errstate", lambda **_: errstate(all="ignore"))
+    error = re.escape(f"integrate_flow at t = {t!r}: non-finite result")
+    with pytest.raises(ArithmeticError, match=f"^{error}$"):
+        qk.integrate_flow(qk.matrix_general(2), 400 * qk.PAULI_Z, qk.PAULI_X, 3.0, steps)
+
+
+def test_sample_flow_names_the_grid_when_only_the_batch_fails():
+    base = qk.convex_flow(2)
+
+    def op(x, t, y):
+        if np.ndim(t):
+            raise ArithmeticError("batch failed")
+        return base.op(x, t, y)
+
+    r = dataclasses.replace(base, op=op)
+    with pytest.raises(ArithmeticError, match=r"^sample_flow at t in \[0\.25, 1\.0\]: batch failed$"):
+        qk.sample_flow(r, X2, Y2, t_end=1.0, steps=4)
 
 
 def test_trajectory_invariants():
