@@ -86,44 +86,42 @@ class Realization:
     params: dict = field(default_factory=dict)
 
 
-class UnionElement:
+class UnionElement(tuple):
     """Tagged element of the algebra-plus-plane union carrier.
 
     ``part`` is "algebra" (value: real scale of the planar rotation
-    generator) or "space" (value: 2-vector).  As an array it is the row
-    ``[tag, a, b]``: tag 0 for an algebra scale a (b = 0), tag 1 for a
+    generator) or "space" (value: 2-vector).  The element is its own row
+    ``(tag, a, b)``: tag 0 for an algebra scale a (b = 0), tag 1 for a
     plane point (a, b).  The union's op and metric work on these rows.
     """
 
-    __slots__ = ("part", "value")
+    __slots__ = ()
 
-    def __init__(self, part: str, value):
+    def __new__(cls, part: str, value):
         if part not in ("algebra", "space"):
             raise ValueError(f"part must be 'algebra' or 'space', got {part!r}")
         if part == "algebra":
             value = float(_check_number(value, "algebra value"))
             if not math.isfinite(value):
                 raise ValueError("algebra value must be finite")
-        else:
-            # float64 arrays, as the sampler draws them, need no per-entry check.
-            if not (isinstance(value, np.ndarray) and value.dtype == np.float64):
-                for c in np.ravel(np.asarray(value, dtype=object)):
-                    _check_number(c, "space value entry")
-            value = np.asarray(value, dtype=np.float64)
-            if value.shape != (2,) or not np.isfinite(value).all():
-                raise ValueError("space value must be a finite 2-vector")
-        object.__setattr__(self, "part", part)
-        object.__setattr__(self, "value", value)
+            return super().__new__(cls, (0.0, value, 0.0))
+        # float64 arrays, as the sampler draws them, need no per-entry check.
+        if not (isinstance(value, np.ndarray) and value.dtype == np.float64):
+            for c in np.ravel(np.asarray(value, dtype=object)):
+                _check_number(c, "space value entry")
+        value = np.asarray(value, dtype=np.float64)
+        if value.shape != (2,) or not np.isfinite(value).all():
+            raise ValueError("space value must be a finite 2-vector")
+        return super().__new__(cls, (1.0, *value.tolist()))
 
-    def __setattr__(self, name, value):
-        raise AttributeError("UnionElement is immutable")
+    part = property(lambda self: "algebra" if self[0] == 0.0 else "space")
+    value = property(lambda self: self[1] if self[0] == 0.0 else np.array(self[1:]))
+
+    def __getnewargs__(self):
+        return self.part, self.value
 
     def __repr__(self):
         return f"UnionElement({self.part!r}, {self.value!r})"
-
-    def __array__(self, dtype=None, copy=None):
-        row = [0.0, self.value, 0.0] if self.part == "algebra" else [1.0, *self.value]
-        return np.array(row, dtype=dtype)
 
 
 # ---------------------------------------------------------------------------
@@ -193,10 +191,8 @@ def op_union(x, t, y):
 
 
 def bloch_embedding(p: np.ndarray) -> np.ndarray:
-    """Rank-1 projection (I + p·σ)/2 attached to a sphere point."""
-    p = np.asarray(p, dtype=np.float64)
-    sigma = p[0] * PAULI_X + p[1] * PAULI_Y + p[2] * PAULI_Z
-    return (np.eye(2, dtype=np.complex128) + sigma) / 2.0
+    """Rank-1 projection (I + p·σ)/2 = I/2 − bloch_generator(p) attached to a sphere point."""
+    return np.eye(2, dtype=np.complex128) / 2.0 - bloch_generator(p)
 
 
 def bloch_generator(p: np.ndarray) -> np.ndarray:
@@ -423,6 +419,8 @@ def fixed_spectrum(eigenvalues) -> Realization:
     """The Hermitian matrices with one spectrum: an adjoint orbit, so a
     sub-quandle of `matrix_hermitian`.  Every op output, each member of a stack
     at once by one broadcast ``eigvalsh``, is checked to still carry it."""
+    for v in np.ravel(np.asarray(eigenvalues, dtype=object)):
+        _check_number(v, "eigenvalue")
     spec = np.sort(np.asarray(eigenvalues, dtype=np.float64))
     if spec.ndim != 1 or spec.size < 1:
         raise ValueError("eigenvalues must be a nonempty 1-d sequence")
@@ -469,9 +467,10 @@ def union_lie() -> Realization:
             value = check(value, "union element JSON 'value'")
         return UnionElement(part, value)
 
-    def encode(e: UnionElement):
-        value = e.value if e.part == "algebra" else [float(c) for c in e.value]
-        return {"part": e.part, "value": value}
+    def encode(e):  # a UnionElement, or a row that op returns
+        tag, a, b = np.asarray(e, dtype=np.float64).tolist()
+        value = a if tag == 0.0 else [a, b]
+        return {"part": "algebra" if tag == 0.0 else "space", "value": value}
 
     return Realization(
         name="union",

@@ -1,8 +1,11 @@
 """Realization-level tests: pinned operation values, carrier closure,
 convex identities, and the sphere-to-projection embedding."""
 
+import copy
 import json
 import math
+import pickle
+import re
 
 import numpy as np
 import pytest
@@ -313,6 +316,22 @@ def test_fixed_spectrum_factory_validation():
         qk.fixed_spectrum([np.nan, 1.0])
 
 
+@pytest.mark.parametrize("eigenvalues,bad", [
+    ([True, 2.0], True),
+    (["1", 2.0], "1"),
+    (np.array([True, False]), True),
+    ([1.0, None], None),
+])
+def test_fixed_spectrum_refuses_non_numbers(eigenvalues, bad):
+    with pytest.raises(ValueError, match=re.escape(f"eigenvalue must be a number, got {bad!r}")):
+        qk.fixed_spectrum(eigenvalues)
+
+
+def test_fixed_spectrum_takes_ints_floats_tuples_and_arrays():
+    for eigenvalues in ([2, 1.0], (1, 2), np.array([2, 1]), np.array([1.0, 2.0]), [np.int64(1), 2.0]):
+        assert qk.fixed_spectrum(eigenvalues).params == {"spectrum": [1.0, 2.0]}
+
+
 def test_fixed_spectrum_decode_checks_spectrum():
     r = qk.fixed_spectrum([1.0, 2.0])
     good = qk.matrix_to_json(np.diag([2.0, 1.0]).astype(complex))
@@ -359,15 +378,48 @@ def test_union_element_validation():
     e = qk.UnionElement("algebra", 2)
     with pytest.raises(AttributeError):
         e.part = "space"
+    with pytest.raises(AttributeError):
+        e.tag = 0.0
 
 
 def test_union_space_value_keeps_numbers():
     for value in ([1, 0.5], (0.5, 2), np.array([1, 2]), np.float32([0.5, 1.5])):
         e = qk.UnionElement("space", value)
         assert e.value.dtype == np.float64 and np.array_equal(e.value, np.asarray(value, float))
-    # A float64 array, as the sampler draws it, is kept as it is.
-    v = np.array([0.25, -0.5])
-    assert qk.UnionElement("space", v).value is v
+    # A float64 array, as the sampler draws it, becomes the row's floats unchanged.
+    v = np.array([0.1, -0.0])
+    e = qk.UnionElement("space", v)
+    assert np.array(e[1:]).tobytes() == e.value.tobytes() == v.tobytes()
+
+
+def test_union_element_is_its_row():
+    a = qk.UnionElement("algebra", 0.5)
+    p = qk.UnionElement("space", np.array([0.25, -0.5]))
+    assert isinstance(a, tuple) and a == (0.0, 0.5, 0.0) and p == (1.0, 0.25, -0.5)
+    assert all(type(c) is float for c in (*a, *p))
+    assert "__array__" not in dir(qk.UnionElement)
+    assert "__setattr__" not in vars(qk.UnionElement)
+    stack = np.array([a, p, qk.UnionElement("algebra", -2)])
+    assert stack.dtype == np.float64
+    assert np.array_equal(stack, [[0.0, 0.5, 0.0], [1.0, 0.25, -0.5], [0.0, -2.0, 0.0]])
+
+
+def test_union_element_pickles_and_copies():
+    for e in (qk.UnionElement("algebra", -0.75), qk.UnionElement("space", [0.5, 2.0])):
+        for twin in (pickle.loads(pickle.dumps(e)), copy.copy(e), copy.deepcopy(e)):
+            assert type(twin) is qk.UnionElement and twin == e and repr(twin) == repr(e)
+
+
+def test_union_encode_takes_op_rows():
+    r = qk.union_lie()
+    a, p = qk.UnionElement("algebra", 0.5), qk.UnionElement("space", [1.0, 0.0])
+    for x, y in ((a, p), (p, a), (a, a), (p, p)):
+        row = r.op(x, 1.0, y)
+        assert isinstance(row, np.ndarray)
+        back = r.decode(r.encode(row))
+        assert type(back) is qk.UnionElement and np.array_equal(back, row)
+    traj = qk.sample_flow(r, a, p, t_end=1.0, steps=4)
+    assert [r.encode(q)["part"] for q in traj.points] == ["space"] * 5
 
 
 def test_union_metric_and_codec():

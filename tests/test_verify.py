@@ -1,15 +1,17 @@
 """Verification-engine tests: report plumbing, bracket recovery order,
 RK4 convergence, trajectory output, and the fixes-each-other verdicts."""
 
+import copy
 import dataclasses
 import io
 import math
+import pickle
 import re
 import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import quandlekit as qk
@@ -230,9 +232,11 @@ def oracle_integrate_flow(r, x, y, t_end, steps):
     norm=st.floats(-3.0, 1.0).map(lambda e: 10.0**e),
     seed=st.integers(0, 2**32 - 1),
 )
+# This step lands 1.4 times beyond 2e-15 · max(1, max|p|): a bound without max|S| fails.
+@example(name="fixed-spectrum", dim=4, steps=1, norm=10.0, seed=0)
 def test_integrate_flow_matches_stepping_the_matrices(name, dim, steps, norm, seed):
-    # The step matrix reorders the sums of each step, so points may differ by
-    # rounding only: a few ulps of the largest point per step.
+    # The step matrix S reorders the sums of each step, so points may differ by
+    # rounding only: about an ulp of max|S| · max|p| per step, as documented.
     rng = np.random.default_rng(seed)
     if name == "fixed-spectrum":  # elements of max-abs norm at most `norm`
         r = qk.fixed_spectrum(norm * np.arange(1, dim + 1) / dim)
@@ -247,7 +251,11 @@ def test_integrate_flow_matches_stepping_the_matrices(name, dim, steps, norm, se
     assert traj.times == times
     assert traj.points[0] is y
     points = np.array(points)
-    assert qk.max_abs(np.array(traj.points) - points) <= 2e-15 * steps * max(1.0, qk.max_abs(points))
+    # S row by row: one oracle step from each basis matrix.
+    basis = np.eye(dim * dim).reshape(dim * dim, dim, dim)
+    s = np.array([oracle_integrate_flow(r, x, b, 1.0 / steps, 1)[1][1] for b in basis])
+    bound = 1.1e-15 * steps * max(1.0, qk.max_abs(s)) * qk.max_abs(points)
+    assert qk.max_abs(np.array(traj.points) - points) <= bound
 
 
 def test_integrate_flow_zero_generator_is_constant():
@@ -456,6 +464,56 @@ def test_noether_check_union_counterexample():
     assert v.y_fixes_x              # the point acts trivially
     assert not v.consistent
     assert v.residuals["y_fixes_x"] == 0.0
+
+
+def test_noether_to_json_default_encoder_is_repr():
+    # Without an encoder, a verdict writes each element as its repr.
+    a = qk.UnionElement("algebra", 1.0)
+    p = qk.UnionElement("space", [1.0, 0.0])
+    assert qk.noether_check(qk.union_lie(), a, p).to_json() == {
+        "x": "UnionElement('algebra', 1.0)",
+        "y": "UnionElement('space', array([1., 0.]))",
+        "x_fixes_y": False,
+        "y_fixes_x": True,
+        "consistent": False,
+        "method": "sampled",
+        # the farthest grid time, t = 3, moves p by 2 sin(3/2)
+        "residuals": {"x_fixes_y": pytest.approx(2 * math.sin(1.5), rel=1e-14), "y_fixes_x": 0.0},
+    }
+    v = qk.noether_check(qk.matrix_hermitian(2), qk.PAULI_Z, qk.PAULI_X, mode="bracket")
+    assert v.to_json() == {
+        "x": "array([[ 1.+0.j,  0.+0.j],\n       [ 0.+0.j, -1.+0.j]])",
+        "y": "array([[0.+0.j, 1.+0.j],\n       [1.+0.j, 0.+0.j]])",
+        "x_fixes_y": False,
+        "y_fixes_x": False,
+        "consistent": True,
+        "method": "bracket-criterion",
+        "residuals": {"x_fixes_y": 2.0, "y_fixes_x": 2.0},  # max|i[Z, X]| = max|2Y|
+    }
+    assert qk.noether_suite(qk.union_lie(), pairs=5, seed=3).to_json() == {
+        "realization": "union",
+        "pairs": 5,
+        "inconsistent_count": 1,
+        "all_consistent": False,
+        "first_inconsistent": {
+            "x": "UnionElement('space', array([ 0.16432407, -0.81174272]))",
+            "y": "UnionElement('algebra', -0.6805221707258429)",
+            "x_fixes_y": True,
+            "y_fixes_x": False,
+            "consistent": False,
+            "method": "sampled",
+            "residuals": {"x_fixes_y": 0.0, "y_fixes_x": pytest.approx(1.4121240920468268, rel=1e-14)},
+        },
+        "modes_agree": None,
+        "control_consistent": True,
+    }
+
+
+def test_noether_suite_union_result_pickles_and_copies():
+    s = qk.noether_suite(qk.union_lie(), pairs=3)
+    for twin in (pickle.loads(pickle.dumps(s)), copy.deepcopy(s)):
+        assert twin == s and twin.to_json() == s.to_json()
+        assert all(type(v.x) is type(v.y) is qk.UnionElement for v in twin.verdicts)
 
 
 def test_noether_check_memory_stays_flat_in_t_samples():
