@@ -155,9 +155,14 @@ def spectrum(a) -> np.ndarray:
 
 def random_complex(rng: np.random.Generator, dim: int) -> np.ndarray:
     """Matrix with real and imaginary parts drawn uniformly from [-1, 1]."""
-    re = rng.uniform(-1.0, 1.0, size=(dim, dim))
-    im = rng.uniform(-1.0, 1.0, size=(dim, dim))
-    return re + 1j * im
+    return _complex_from_units(rng.random(2 * dim * dim), dim)
+
+
+def _complex_from_units(u: np.ndarray, dim: int) -> np.ndarray:
+    """`random_complex` of the 2·dim² doubles u that ``rng.random`` gave it, real
+    parts first; a ``(..., 2·dim²)`` stack of rows u gives a stack of matrices."""
+    m = -1.0 + 2.0 * u.reshape(*u.shape[:-1], 2, dim, dim)
+    return m[..., 0, :, :] + 1j * m[..., 1, :, :]
 
 
 def random_hermitian(

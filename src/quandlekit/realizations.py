@@ -21,6 +21,7 @@ from .linalg import (
     MAX_DIM,
     _check_int,
     _check_number,
+    _complex_from_units,
     _json_vector,
     _scaled_pair,
     commutator,
@@ -29,9 +30,6 @@ from .linalg import (
     hermitize,
     matrix_from_json,
     matrix_to_json,
-    max_abs,
-    random_hermitian,
-    random_complex,
     require_hermitian,
     spectrum,
 )
@@ -66,7 +64,10 @@ class Realization:
     elements.  ``vector_carrier`` says whether elements subtract and divide
     by scalars (needed for difference quotients).  ``generator`` maps an
     element to the plain-convention matrix generator of its flow, when one
-    exists.
+    exists.  ``units`` optionally gives ``sample`` on uniform doubles, so that
+    engines can read a block of the random stream at once: ``(w, finish)``
+    samples ``finish(rng.random(w))``, finish mapping a ``(..., w)`` stack to a
+    stack of elements; ``(None, read)`` samples ``read(rng.random)``.
     """
 
     name: str
@@ -84,6 +85,7 @@ class Realization:
     flat_labels: Optional[Callable[[Any], list[str]]] = None
     flatten: Optional[Callable[[Any], list[float]]] = None
     params: dict = field(default_factory=dict)
+    units: Optional[tuple[Optional[int], Callable[[Any], Any]]] = None
 
 
 class UnionElement(tuple):
@@ -105,10 +107,8 @@ class UnionElement(tuple):
             if not math.isfinite(value):
                 raise ValueError("algebra value must be finite")
             return super().__new__(cls, (0.0, value, 0.0))
-        # float64 arrays, as the sampler draws them, need no per-entry check.
-        if not (isinstance(value, np.ndarray) and value.dtype == np.float64):
-            for c in np.ravel(np.asarray(value, dtype=object)):
-                _check_number(c, "space value entry")
+        for c in np.ravel(np.asarray(value, dtype=object)):
+            _check_number(c, "space value entry")
         value = np.asarray(value, dtype=np.float64)
         if value.shape != (2,) or not np.isfinite(value).all():
             raise ValueError("space value must be a finite 2-vector")
@@ -273,6 +273,12 @@ def _vector_codec(dim: int, labels=None, decode=None) -> dict:
 # samplers
 
 
+def _on_units(w: Optional[int], finish) -> dict:
+    """``sample`` and ``units`` on unit doubles u; rng.uniform(lo, hi) is lo + (hi - lo) * u."""
+    sample = (lambda rng: finish(rng.random)) if w is None else (lambda rng: finish(rng.random(w)))
+    return dict(sample=sample, units=(w, finish))
+
+
 def _sample_unit_sphere(rng: np.random.Generator) -> np.ndarray:
     while True:
         v = rng.normal(size=3)
@@ -281,32 +287,33 @@ def _sample_unit_sphere(rng: np.random.Generator) -> np.ndarray:
             return v / n
 
 
-def _sample_general_matrix(rng: np.random.Generator, dim: int) -> np.ndarray:
+def _unit_hermitian(u: np.ndarray, dim: int) -> np.ndarray:
+    h = hermitize(_complex_from_units(u, dim))
+    return h / np.max(np.abs(h), axis=(-2, -1), keepdims=True)
+
+
+def _unit_general_matrix(u: np.ndarray, dim: int) -> np.ndarray:
     # Kept small so e^{±3X} cannot amplify rounding noise anywhere near the
     # 1e-8 verification tolerance.
-    m = random_complex(rng, dim)
-    return 0.5 * m / max(max_abs(m), 1e-9)
+    m = _complex_from_units(u, dim)
+    return 0.5 * m / np.maximum(np.max(np.abs(m), axis=(-2, -1), keepdims=True), 1e-9)
 
 
-def _sample_box(rng: np.random.Generator, dim: int) -> np.ndarray:
-    return rng.uniform(0.0, 1.0, size=dim)
+def _unit_simplex(u: np.ndarray) -> np.ndarray:
+    w = -np.log(1e-12 + (1.0 - 1e-12) * u)
+    return w / np.sum(w, axis=-1, keepdims=True)
 
 
-def _sample_simplex(rng: np.random.Generator, dim: int) -> np.ndarray:
-    w = -np.log(rng.uniform(1e-12, 1.0, size=dim))
-    return w / float(np.sum(w))
-
-
-def _sample_union(rng: np.random.Generator) -> UnionElement:
-    if rng.random() < 0.5:
-        while True:
-            a = rng.uniform(-1.0, 1.0)
-            if abs(a) >= 0.05:
-                return UnionElement("algebra", a)
-    while True:
-        p = rng.uniform(-1.0, 1.0, size=2)
-        if float(np.linalg.norm(p)) >= 0.05:
-            return UnionElement("space", p)
+def _read_union(unit) -> UnionElement:
+    """A part, then a scale or point on [-1, 1] redrawn until 0.05 or more from 0: finite
+    floats, so the row is built without UnionElement's checks."""
+    if unit() < 0.5:
+        while abs(a := -1.0 + 2.0 * unit()) < 0.05:
+            pass
+        return tuple.__new__(UnionElement, (0.0, a, 0.0))
+    while float(np.linalg.norm(p := (-1.0 + 2.0 * unit(), -1.0 + 2.0 * unit()))) < 0.05:
+        pass
+    return tuple.__new__(UnionElement, (1.0, *p))
 
 
 # ---------------------------------------------------------------------------
@@ -324,7 +331,7 @@ def matrix_hermitian(dim: int = 2) -> Realization:
         name="matrix-hermitian",
         carrier=f"{dim}x{dim} Hermitian matrices",
         op=op_matrix_skew,
-        sample=lambda rng: random_hermitian(rng, dim, unit_norm=True),
+        **_on_units(2 * dim * dim, lambda u: _unit_hermitian(u, dim)),
         default_tolerance=1e-8,
         analytic_bracket=lambda x, y: 1j * commutator(x, y),
         generator=lambda x: 1j * x,
@@ -341,7 +348,7 @@ def matrix_general(dim: int = 2) -> Realization:
         name="matrix-general",
         carrier=f"{dim}x{dim} complex matrices",
         op=op_matrix_plain,
-        sample=lambda rng: _sample_general_matrix(rng, dim),
+        **_on_units(2 * dim * dim, lambda u: _unit_general_matrix(u, dim)),
         default_tolerance=1e-8,
         analytic_bracket=commutator,
         generator=lambda x: x,
@@ -378,7 +385,7 @@ def convex_flow(dim: int = 3) -> Realization:
         name="convex-flow",
         carrier=f"{dim}-vectors under affine relaxation",
         op=op_convex_flow,
-        sample=lambda rng: rng.uniform(-1.0, 1.0, size=dim),
+        **_on_units(dim, lambda u: -1.0 + 2.0 * u),
         default_tolerance=1e-12,
         analytic_bracket=lambda x, y: x - y,
         **_vector_codec(dim),
@@ -398,7 +405,6 @@ def convex_spindle(bias: float = 0.5, dim: int = 3, body: str = "box") -> Realiz
     dim = _check_int(dim, "dim", 1, MAX_DIM)
     if body not in ("box", "simplex"):
         raise ValueError(f"body must be 'box' or 'simplex', got {body!r}")
-    sampler = _sample_box if body == "box" else _sample_simplex
 
     def op(x, t, y):
         return _fixed_flow(t, (1.0 - bias) * x + bias * y)
@@ -407,7 +413,7 @@ def convex_spindle(bias: float = 0.5, dim: int = 3, body: str = "box") -> Realiz
         name="convex-spindle",
         carrier=f"{dim}-vectors in the unit {body}",
         op=op,
-        sample=lambda rng: sampler(rng, dim),
+        **_on_units(dim, (lambda u: u) if body == "box" else _unit_simplex),
         default_tolerance=1e-12,
         family=False,
         **_vector_codec(dim),
@@ -421,9 +427,9 @@ def fixed_spectrum(eigenvalues) -> Realization:
     at once by one broadcast ``eigvalsh``, is checked to still carry it."""
     for v in np.ravel(np.asarray(eigenvalues, dtype=object)):
         _check_number(v, "eigenvalue")
-    spec = np.sort(np.asarray(eigenvalues, dtype=np.float64))
-    if spec.ndim != 1 or spec.size < 1:
+    if np.ndim(eigenvalues) != 1 or np.size(eigenvalues) < 1:
         raise ValueError("eigenvalues must be a nonempty 1-d sequence")
+    spec = np.sort(np.asarray(eigenvalues, dtype=np.float64))
     if not np.all(np.isfinite(spec)):
         raise ValueError("eigenvalues must be finite")
     if spec.size > 1 and float(np.min(np.diff(spec))) < SPECTRUM_GAP:
@@ -432,6 +438,9 @@ def fixed_spectrum(eigenvalues) -> Realization:
     base = np.diag(spec.astype(np.complex128))
 
     def check(a: np.ndarray) -> np.ndarray:
+        n = a.shape[-1]
+        if n != spec.size:
+            raise ValueError(f"a {n}x{n} matrix cannot carry {spec.size} eigenvalues")
         drift = float(np.max(np.abs(spectrum(a) - spec)))
         if drift > SPECTRUM_TOL:
             raise ArithmeticError(
@@ -444,7 +453,7 @@ def fixed_spectrum(eigenvalues) -> Realization:
         name="fixed-spectrum",
         carrier=f"Hermitian {spec.size}x{spec.size} matrices with spectrum {spec.tolist()}",
         op=lambda x, t, y: check(hermitize(herm.op(x, t, y))),
-        sample=lambda rng: hermitize(herm.op(herm.sample(rng), 1.0, base)),
+        **_on_units(herm.units[0], lambda u: hermitize(herm.op(herm.units[1](u), 1.0, base))),
         decode=lambda obj: check(herm.decode(obj)),
         params={"spectrum": [float(v) for v in spec]},
     )
@@ -477,7 +486,7 @@ def union_lie() -> Realization:
         carrier="rotation-algebra scalars plus plane points",
         op=op_union,
         metric=_union_metric,
-        sample=_sample_union,
+        **_on_units(None, _read_union),
         default_tolerance=1e-12,
         vector_carrier=False,
         decode=decode,

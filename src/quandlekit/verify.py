@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import csv
 import functools
+import itertools
 import math
 import sys
 from dataclasses import dataclass
@@ -157,6 +158,33 @@ def _scores(score, n: int, size: int) -> np.ndarray:
     return np.where(np.isfinite(out), out, math.inf)
 
 
+def _draw(r: Realization, rng: np.random.Generator, n: int, k: int, p: int):
+    """(first index, columns) per block of at most BLOCK_NUMBERS element numbers of n records,
+    each k ``r.sample`` calls then p ``rng.uniform(-PARAM_RANGE, PARAM_RANGE)``, read in that
+    order: k element columns, arrays for a ``units`` width, else tuples, and p arrays."""
+    lo, span = -PARAM_RANGE, 2 * PARAM_RANGE
+    w, finish = r.units or (None, None)
+    if w is not None:  # one rng.random call per block
+        step = max(1, BLOCK_NUMBERS // w)
+        for start in range(0, n, step):
+            u = rng.random((min(step, n - start), k * w + p))
+            params = lo + span * u[:, k * w:].T
+            yield start, [finish(u[:, j * w:(j + 1) * w]) for j in range(k)] + list(params)
+        return
+    unit, element = rng.random, functools.partial(r.sample, rng)
+    if finish is not None:  # a reader reads a buffer of rng.random calls, which may run ahead
+        unit = itertools.chain.from_iterable(iter(lambda: rng.random(1024).tolist(), None)).__next__
+        element = functools.partial(finish, unit)
+    record = [element] * k + [lambda: lo + span * unit()] * p
+    rows, step = [], None
+    for i in range(n):
+        rows.append([draw() for draw in record])
+        step = step or max(1, BLOCK_NUMBERS // np.size(rows[0][0]))
+        if len(rows) == step or i == n - 1:
+            yield i + 1 - len(rows), list(zip(*rows))
+            rows = []
+
+
 def _axiom_terms(r: Realization) -> dict:
     """Axiom name -> (residual as a function of (x, y, z, s, t), the
     parameters its worst case names).  The arguments are one sample, or
@@ -192,37 +220,28 @@ def verify_axioms(
     Family realizations get four reports (self-action, self-distributivity,
     idempotency, inverse-law); fixed-operation ones get the two axioms that
     make sense without a parameter.  Parameters s, t are uniform on
-    [-3, 3]; ties in the worst case go to the earliest sample.  Each axiom
-    is scored by `_scores` in blocks of samples (one block at the usual
-    sample counts), with one op call per term and block.
+    [-3, 3]; ties in the worst case go to the earliest sample.  Samples are
+    drawn by `_draw` and scored by `_scores` one block at a time, with one op
+    call per term and block, keeping only the worst so far (flat memory).
     """
     samples = _check_int(samples, "samples", 1)
     tolerance = r.default_tolerance if tol is None else _check_real(tol, "tol", allow_zero=True)
-    rng = np.random.default_rng(seed)
-    draws = [(r.sample(rng), r.sample(rng), r.sample(rng),
-              *rng.uniform(-PARAM_RANGE, PARAM_RANGE, 2)) for _ in range(samples)]
-    batch = [np.array(column) for column in zip(*draws)]
-    params = {"s": batch[3].tolist(), "t": batch[4].tolist()}  # as the worst cases name them
-    if not r.family:  # a fixed operation ignores its parameter: pass 0
-        batch[3] = batch[4] = np.zeros(samples)
-
-    reports = []
-    for name, (term, keys) in _axiom_terms(r).items():
-        res = _scores(lambda k: term(*(a[k] for a in batch)), samples, batch[0][0].size)
-        i = int(np.argmax(res))
-        worst = float(res[i])
-        reports.append(
-            AxiomReport(
-                realization=r.name,
-                axiom=name,
-                samples=samples,
-                max_residual=worst,
-                worst_case={"sample": i, **{k: params[k][i] for k in keys}},
-                tolerance=tolerance,
-                passed=worst <= tolerance,
-            )
-        )
-    return reports
+    terms = _axiom_terms(r)
+    worst = dict.fromkeys(terms, (-math.inf, None))
+    for done, block in _draw(r, np.random.default_rng(seed), samples, 3, 2):
+        batch = [np.asarray(column) for column in block]
+        params = {"s": batch[3], "t": batch[4]}  # as the worst cases name them
+        if not r.family:  # a fixed operation ignores its parameter: pass 0
+            batch[3] = batch[4] = np.zeros(len(batch[3]))
+        for name, (term, keys) in terms.items():
+            res = _scores(lambda k: term(*(a[k] for a in batch)), len(batch[3]), batch[0][0].size)
+            i = int(np.argmax(res))
+            if res[i] > worst[name][0]:
+                case = {"sample": done + i, **{k: float(params[k][i]) for k in keys}}
+                worst[name] = (float(res[i]), case)
+    return [AxiomReport(realization=r.name, axiom=name, samples=samples, max_residual=res,
+                        worst_case=case, tolerance=tolerance, passed=res <= tolerance)
+            for name, (res, case) in worst.items()]
 
 
 def _check_finite(engine: str, times, flow) -> None:
@@ -400,7 +419,7 @@ def noether_suite(
     sampled = _noether_scorer(r, "sampled", t_samples, t_max, tol)
     rng = np.random.default_rng(seed)
     # The x = x control, then the pairs (x, y), in the order they are drawn.
-    draws = [r.sample(rng) for _ in range(2 * pairs + 1)]
+    draws = [e for _, (column,) in _draw(r, rng, 2 * pairs + 1, 1, 0) for e in column]
     xs, ys = draws[:1] + draws[1::2], draws[:1] + draws[2::2]
     control, *verdicts = sampled(xs, ys)
 

@@ -9,6 +9,7 @@ compute, and the axiom reports of the per-sample loop, bit for bit on the
 matrix realizations.
 """
 
+import json
 import math
 import warnings
 
@@ -18,7 +19,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import quandlekit as qk
-from quandlekit.verify import DEFAULT_STEP, NOETHER_GRID, NOETHER_TOL, PARAM_RANGE, verify_axioms
+from quandlekit import verify
+from quandlekit.verify import (DEFAULT_STEP, NOETHER_GRID, NOETHER_TOL, PARAM_RANGE, AxiomReport,
+                               _axiom_terms, _scores, verify_axioms)
 
 GRID = np.linspace(-PARAM_RANGE, PARAM_RANGE, NOETHER_GRID)
 PARITY_TOL = 1e-12
@@ -280,12 +283,104 @@ VECTOR_LIKE = [qk.bloch(), qk.convex_flow(3), qk.convex_spindle(0.5, 3, "box"),
                qk.convex_spindle(0.3, 4, "simplex"), qk.union_lie(), qk.corrupted_flow(3)]
 
 
+# The samplers as they were written before they read blocks of unit doubles:
+# one rng.uniform call per part of an element, each element built on its own.
+# They are the oracle of the unit-double samplers and of the draws of
+# verify_axioms and noether_suite.
+
+
+def _old_complex(rng, dim):
+    re = rng.uniform(-1.0, 1.0, size=(dim, dim))
+    im = rng.uniform(-1.0, 1.0, size=(dim, dim))
+    return re + 1j * im
+
+
+def _old_hermitian(rng, dim):  # random_hermitian(rng, dim, unit_norm=True)
+    h = qk.hermitize(_old_complex(rng, dim))
+    return h / qk.max_abs(h)
+
+
+def _sample_general_matrix(rng, dim):
+    m = _old_complex(rng, dim)
+    return 0.5 * m / max(qk.max_abs(m), 1e-9)
+
+
+def _sample_box(rng, dim):
+    return rng.uniform(0.0, 1.0, size=dim)
+
+
+def _sample_simplex(rng, dim):
+    w = -np.log(rng.uniform(1e-12, 1.0, size=dim))
+    return w / float(np.sum(w))
+
+
+def _sample_union(rng):
+    if rng.random() < 0.5:
+        while True:
+            a = rng.uniform(-1.0, 1.0)
+            if abs(a) >= 0.05:
+                return qk.UnionElement("algebra", a)
+    while True:
+        p = rng.uniform(-1.0, 1.0, size=2)
+        if float(np.linalg.norm(p)) >= 0.05:
+            return qk.UnionElement("space", p)
+
+
+def old_sampler(r):
+    """The per-element sampler r had before its unit-double form."""
+    if r.name in ("matrix-hermitian", "matrix-general"):
+        dim = r.params["dim"]
+        return (lambda rng: _old_hermitian(rng, dim)) if r.name == "matrix-hermitian" else (
+            lambda rng: _sample_general_matrix(rng, dim))
+    if r.name == "fixed-spectrum":
+        spec = r.params["spectrum"]
+        base = np.diag(np.array(spec, dtype=np.complex128))
+        return lambda rng: qk.hermitize(qk.op_matrix_skew(_old_hermitian(rng, len(spec)), 1.0, base))
+    if r.name in ("convex-flow", "corrupted"):
+        return lambda rng: rng.uniform(-1.0, 1.0, size=r.params["dim"])
+    if r.name == "convex-spindle":
+        body = _sample_box if r.params["body"] == "box" else _sample_simplex
+        return lambda rng: body(rng, r.params["dim"])
+    if r.name == "union":
+        return _sample_union
+    assert r.units is None  # bloch's normals, or a sampler given only as sample
+    return r.sample
+
+
+SAMPLER_CASES = ALL_REALIZATIONS + [qk.matrix_hermitian(1), qk.matrix_general(5),
+                                    qk.convex_spindle(0.3, 12, "simplex"),
+                                    qk.fixed_spectrum([-2.0, -1.0, 0.5, 1.5, 3.0])]
+
+
+@pytest.mark.parametrize("r", SAMPLER_CASES, ids=lambda r: f"{r.name}{r.params}")
+def test_sample_is_bitwise_the_old_sampler(r):
+    old = old_sampler(r)
+    for seed in range(50):
+        a, b = np.random.default_rng(seed), np.random.default_rng(seed)
+        for _ in range(3):
+            got, want = r.sample(a), old(b)
+            assert type(got) is type(want) and repr(got) == repr(want)
+            assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
+        assert a.random() == b.random()  # the same stream was read
+
+
+@pytest.mark.parametrize("r", [r for r in SAMPLER_CASES if r.units and r.units[0]],
+                         ids=lambda r: f"{r.name}{r.params}")
+def test_units_finish_a_stack_as_each_row_alone(r):
+    w, finish = r.units
+    u = np.random.default_rng(3).random((7, w))
+    stack = finish(u)
+    for row, member in zip(u, stack):
+        assert np.asarray(finish(row)).tobytes() == np.asarray(member).tobytes()
+
+
 def draws(r, samples, seed):
     """The per-sample draws of verify_axioms: x, y, z, s, t in that order."""
     rng = np.random.default_rng(seed)
+    sample = old_sampler(r)
     out = []
     for _ in range(samples):
-        x, y, z = r.sample(rng), r.sample(rng), r.sample(rng)
+        x, y, z = sample(rng), sample(rng), sample(rng)
         s = float(rng.uniform(-PARAM_RANGE, PARAM_RANGE))
         t = float(rng.uniform(-PARAM_RANGE, PARAM_RANGE))
         out.append((x, y, z, s, t))
@@ -330,6 +425,61 @@ def oracle_verify_axioms(r, samples, seed):
             if res > worst.get(name, (-math.inf,))[0]:
                 worst[name] = (res, case)
     return {name: (res, case, res <= r.default_tolerance) for name, (res, case) in worst.items()}
+
+
+def per_record_verify_axioms(r, samples, seed):
+    """verify_axioms as it drew before blocks: every record by the old samplers and
+    rng.uniform, stacked, then each axiom scored over all samples."""
+    rng, sample = np.random.default_rng(seed), old_sampler(r)
+    draws = [(sample(rng), sample(rng), sample(rng),
+              *rng.uniform(-PARAM_RANGE, PARAM_RANGE, 2)) for _ in range(samples)]
+    batch = [np.array(column) for column in zip(*draws)]
+    params = {"s": batch[3].tolist(), "t": batch[4].tolist()}
+    if not r.family:
+        batch[3] = batch[4] = np.zeros(samples)
+    reports = []
+    for name, (term, keys) in _axiom_terms(r).items():
+        res = _scores(lambda k: term(*(a[k] for a in batch)), samples, batch[0][0].size)
+        i = int(np.argmax(res))
+        worst = float(res[i])
+        reports.append(AxiomReport(r.name, name, samples, worst,
+                                   {"sample": i, **{k: params[k][i] for k in keys}},
+                                   r.default_tolerance, worst <= r.default_tolerance))
+    return reports
+
+
+# The sample counts of the axiom-sampling benchmark jobs, by realization.
+BENCH_SAMPLES = {"matrix-hermitian": 12, "matrix-general": 12, "bloch": 40, "convex-flow": 300,
+                 "convex-spindle": 300, "fixed-spectrum": 12, "union": 300, "corrupted": 100}
+
+
+def report_json(reports) -> str:
+    return json.dumps([rep.to_json() for rep in reports])
+
+
+@pytest.mark.parametrize("r", ALL_REALIZATIONS, ids=by_name)
+@pytest.mark.parametrize("seed", range(6))
+def test_verify_axioms_is_byte_equal_to_per_record_oracle(r, seed):
+    for samples in (1, BENCH_SAMPLES[r.name], 200):
+        assert (report_json(verify_axioms(r, samples=samples, seed=seed))
+                == report_json(per_record_verify_axioms(r, samples, seed)))
+
+
+@pytest.mark.parametrize("r", ALL_REALIZATIONS + [qk.convex_spindle(0.3, 4, "simplex")],
+                         ids=lambda r: f"{r.name}{r.params}")
+def test_verify_axioms_across_blocks_is_byte_equal_to_per_record_oracle(r, monkeypatch):
+    # With blocks of 96 numbers, 45 samples take several blocks on every carrier.
+    monkeypatch.setattr(verify, "BLOCK_NUMBERS", 96)
+    for seed in range(3):
+        assert (report_json(verify_axioms(r, samples=45, seed=seed))
+                == report_json(per_record_verify_axioms(r, 45, seed)))
+
+
+@pytest.mark.parametrize("r", [qk.convex_flow(3), qk.union_lie()], ids=by_name)
+def test_verify_axioms_across_full_blocks_is_byte_equal_to_per_record_oracle(r):
+    samples = verify.BLOCK_NUMBERS // 3 + 7  # three numbers per element: two blocks
+    assert (report_json(verify_axioms(r, samples=samples, seed=5))
+            == report_json(per_record_verify_axioms(r, samples, 5)))
 
 
 def batched_reports(r, samples, seed):
@@ -479,12 +629,12 @@ def oracle_noether_check(r, x, y, mode):
 def oracle_noether_suite(r, pairs, seed):
     """The per-pair loop: the x = x control, then each pair drawn, checked
     and, where a bracket exists, checked again by the bracket criterion."""
-    rng = np.random.default_rng(seed)
-    control = r.sample(rng)
+    rng, sample = np.random.default_rng(seed), old_sampler(r)
+    control = sample(rng)
     cxy, cyx = oracle_noether_check(r, control, control, "sampled")
     rows, modes_agree = [], True if r.analytic_bracket is not None else None
     for _ in range(pairs):
-        x, y = r.sample(rng), r.sample(rng)
+        x, y = sample(rng), sample(rng)
         res = oracle_noether_check(r, x, y, "sampled")
         rows.append((x, y, res))
         if modes_agree is not None:
@@ -510,8 +660,10 @@ def assert_suite_matches_oracle(r, pairs, seed):
         assert repr(list(v.residuals.values())) == repr(list(res))
         assert (v.x_fixes_y, v.y_fixes_x) == tuple(value <= NOETHER_TOL for value in res)
         assert v.consistent == (v.x_fixes_y == v.y_fixes_x) and v.method == "sampled"
-        # The verdicts keep the drawn elements themselves, union elements too.
-        assert type(v.x) is type(x)
+        # The verdicts keep the drawn elements themselves, union elements too,
+        # whose repr is the default encoder.
+        assert type(v.x) is type(x) and type(v.y) is type(y)
+        assert (v.to_json()["x"], v.to_json()["y"]) == (repr(x), repr(y))
         assert np.asarray(v.x).tobytes() == np.asarray(x).tobytes()
         assert np.asarray(v.y).tobytes() == np.asarray(y).tobytes()
     bad = [v for v in got.verdicts if not v.consistent]

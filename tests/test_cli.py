@@ -16,7 +16,7 @@ import sys
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import quandlekit as qk
@@ -321,6 +321,15 @@ def test_bracket_fixed_spectrum_infers_spectrum_from_file(capsys, tmp_path):
     assert json.loads(out)["realization"] == "fixed-spectrum"
 
 
+@pytest.mark.parametrize("command", ["flow", "bracket"])
+def test_fixed_spectrum_of_another_size_names_both_sizes(capsys, tmp_path, command):
+    d3 = write_json(tmp_path / "d3.json", qk.matrix_to_json(np.diag([1.0, 2.0, 3.0]).astype(complex)))
+    p3 = write_json(tmp_path / "p3.json", qk.matrix_to_json(np.full((3, 3), 1.0 / 3.0, dtype=complex)))
+    code, out, err = run_cli(capsys, command, "--realization", "fixed-spectrum", "--spectrum", "1,2",
+                             "--x", d3, "--y", p3)
+    assert (code, out, err) == (2, "", "error: a 3x3 matrix cannot carry 2 eigenvalues\n")
+
+
 def test_bracket_union_unsupported(capsys, tmp_path):
     a = write_json(tmp_path / "a.json", {"part": "algebra", "value": 1.0})
     code, _, err = run_cli(capsys, "bracket", "--realization", "union",
@@ -462,8 +471,18 @@ def contract_dir(tmp_path_factory):
     return d
 
 
+# A 3x3 --x (y.json is 2x2) for a spectrum of two and of three eigenvalues.
+SPECTRUM_SIZE_CASES = [
+    ("spectrum", json.dumps(qk.matrix_to_json(np.diag([1.0, 2.0, 3.0]))),
+     [command, "--realization", "fixed-spectrum", "--spectrum", spectrum, "--x", "{x}", "--y", "{y}"])
+    for command, spectrum in (("flow", "1,2"), ("bracket", "1,2,3"))
+]
+
+
 @settings(max_examples=120)
 @given(case=malformed_inputs())
+@example(case=SPECTRUM_SIZE_CASES[0])
+@example(case=SPECTRUM_SIZE_CASES[1])
 def test_malformed_input_keeps_the_exit_code_contract(contract_dir, case):
     kind, text, argv = case
     x = contract_dir / "x.json"
@@ -478,6 +497,8 @@ def test_malformed_input_keeps_the_exit_code_contract(contract_dir, case):
         assert out.getvalue() == "" and err.getvalue().startswith("error: ")
     if code == 0:
         assert "NaN" not in out.getvalue() and "Infinity" not in out.getvalue()
+    if case in SPECTRUM_SIZE_CASES:
+        assert code == 2 and "matrix cannot carry" in err.getvalue()
 
 
 # ---------------------------------------------------------------------------

@@ -332,6 +332,23 @@ def test_fixed_spectrum_takes_ints_floats_tuples_and_arrays():
         assert qk.fixed_spectrum(eigenvalues).params == {"spectrum": [1.0, 2.0]}
 
 
+@pytest.mark.parametrize("eigenvalues", [3.0, np.float64(2.0), [[1.0, 2.0]], np.ones((2, 2))])
+def test_fixed_spectrum_refuses_non_sequences(eigenvalues):
+    with pytest.raises(ValueError, match="eigenvalues must be a nonempty 1-d sequence"):
+        qk.fixed_spectrum(eigenvalues)
+
+
+@pytest.mark.parametrize("spectrum,dim", [([1, 2], 3), ([1.0, 2.0, 3.0], 2)])
+def test_fixed_spectrum_names_a_size_mismatch(spectrum, dim):
+    r = qk.fixed_spectrum(spectrum)
+    a = np.diag(np.arange(1.0, dim + 1)).astype(complex)
+    message = f"a {dim}x{dim} matrix cannot carry {len(spectrum)} eigenvalues"
+    with pytest.raises(ValueError, match=message):
+        r.decode(qk.matrix_to_json(a))
+    with pytest.raises(ValueError, match=message):
+        r.op(a, 0.5, a)
+
+
 def test_fixed_spectrum_decode_checks_spectrum():
     r = qk.fixed_spectrum([1.0, 2.0])
     good = qk.matrix_to_json(np.diag([2.0, 1.0]).astype(complex))

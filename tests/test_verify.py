@@ -534,6 +534,20 @@ def test_noether_check_memory_stays_flat_in_t_samples():
     assert [v.residuals["x_fixes_y"], v.residuals["y_fixes_x"]] == whole
 
 
+def test_verify_axioms_memory_stays_flat_in_samples():
+    # 2e5 samples take 19 blocks.  Drawing every sample before scoring any
+    # peaked at about 138 MiB here.
+    tracemalloc.start()
+    try:
+        reports = qk.verify_axioms(qk.convex_flow(3), samples=2 * 10**5, seed=0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2**20
+    assert all(rep.passed and rep.samples == 2 * 10**5 for rep in reports)
+    assert all(0 <= rep.worst_case["sample"] < 2 * 10**5 for rep in reports)
+
+
 def test_noether_check_validation():
     r = qk.matrix_hermitian(2)
     with pytest.raises(ValueError):
