@@ -2,11 +2,11 @@
 
 Every realization packages a parametrized operation ``op(x, t, y)`` together
 with the sampler, metric and tolerance that the verification engine needs.
-Matrix realizations conjugate by a matrix exponential (skew convention
-``e^{itX}`` on Hermitian elements, plain convention ``e^{tX}`` on arbitrary
-ones), the sphere realization rotates unit 3-vectors, the convex realizations
-mix affinely, and the union realization glues a 1-dimensional rotation
-algebra onto the plane it acts on.
+Matrix realizations conjugate by a one-parameter group: ``e^{itX}`` through the
+eigenvectors of a Hermitian X (skew convention), and ``e^{tX}`` by a matrix
+exponential on arbitrary X (plain convention).  The sphere realization rotates
+unit 3-vectors, the convex realizations mix affinely, and the union realization
+glues a 1-dimensional rotation algebra onto the plane it acts on.
 """
 
 from __future__ import annotations
@@ -26,7 +26,6 @@ from .linalg import (
     _scaled_pair,
     commutator,
     conjugate_by_exp,
-    expm,
     hermitize,
     matrix_from_json,
     matrix_to_json,
@@ -134,11 +133,15 @@ def _fixed_flow(t, value: np.ndarray) -> np.ndarray:
 
 
 def op_matrix_skew(x: np.ndarray, t, y: np.ndarray) -> np.ndarray:
-    """``e^{itX} Y e^{-itX}`` — adjoint flow of a Hermitian generator, as U Y U†
-    with U = e^{itX}: for real t, itX is skew-Hermitian, so e^{-itX} = U⁻¹ = U†."""
-    tx, y = _scaled_pair(1j * x, t, y)
-    u = expm(tx)
-    return u @ y @ u.conj().swapaxes(-1, -2)
+    """``e^{itX} Y e^{-itX}`` for Hermitian X = V Λ V† (``eigh`` reads only its lower triangle):
+    Y + V((V†YV) ∘ F)V† with θ_jk = t(λ_j − λ_k) and F = e^{iθ} − 1 = −2 sin²(θ/2) + i sin θ
+    (sin² loses no digits at small t).  One ``eigh`` per x serves all t; y exactly at t = 0."""
+    _, y = _scaled_pair(x, t, y)  # checks only: x, y, and that t·X fits, as in conjugate_by_exp
+    lam, v = np.linalg.eigh(x)
+    with np.errstate(over="raise", invalid="raise"):
+        theta = np.asarray(t)[..., None, None] * (lam[..., :, None] - lam[..., None, :])
+    vh = v.conj().swapaxes(-1, -2)
+    return y + v @ ((vh @ y @ v) * (-2.0 * np.sin(theta / 2) ** 2 + 1j * np.sin(theta))) @ vh
 
 
 #: ``e^{tX} Y e^{-tX}`` on the full matrix algebra.

@@ -161,8 +161,10 @@ FAILED_CONTROL = [
     ["--realization", "matrix-hermitian", "--pairs", "2", "--tol", "0"],
     ["--realization", "matrix-general", "--dim", "3", "--pairs", "1", "--t-max", "1e6"],
     ["--realization", "convex-flow", "--pairs", "3", "--t-max", "800"],
-    # t·X itself overflows, before any exponential is taken.
+    # t·X itself overflows, before any eigenvalue is read.
     ["--realization", "fixed-spectrum", "--dim", "3", "--pairs", "1", "--t-max", "8.9e307"],
+    # t·X fits, but t·(λ_j − λ_k) does not.
+    ["--realization", "matrix-hermitian", "--dim", "3", "--pairs", "1", "--t-max", "8.9e307"],
 ]
 
 

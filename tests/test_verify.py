@@ -15,6 +15,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import quandlekit as qk
+from quandlekit import realizations
+from test_linalg import oracle_skew
 
 
 def test_verify_axioms_report_shape():
@@ -594,3 +596,41 @@ def test_noether_suite_deterministic():
     b = qk.noether_suite(qk.bloch(), pairs=10, seed=17)
     assert a.inconsistent_count == b.inconsistent_count
     assert [v.residuals for v in a.verdicts] == [v.residuals for v in b.verdicts]
+
+
+HERMITIAN_FLOWS = {
+    "matrix-hermitian(2)": lambda: qk.matrix_hermitian(2),
+    "matrix-hermitian(3)": lambda: qk.matrix_hermitian(3),
+    "matrix-hermitian(6)": lambda: qk.matrix_hermitian(6),
+    "fixed-spectrum(1,2,3)": lambda: qk.fixed_spectrum([1.0, 2.0, 3.0]),
+}
+
+
+@pytest.mark.parametrize("factory", HERMITIAN_FLOWS.values(), ids=HERMITIAN_FLOWS)
+def test_skew_op_keeps_the_verdicts_of_the_expm_oracle(monkeypatch, factory):
+    # The old realization is built with the expm oracle in place of
+    # op_matrix_skew, so fixed-spectrum's sampler and spectrum-checked op run
+    # on it too.  Residuals sit at rounding level and move by about 3e-14.
+    r = factory()
+    with monkeypatch.context() as m:
+        m.setattr(realizations, "op_matrix_skew", oracle_skew)
+        old = factory()
+    for seed in range(6):
+        new_suite, old_suite = (qk.noether_suite(q, pairs=10, seed=seed) for q in (r, old))
+        assert ([(v.x_fixes_y, v.y_fixes_x) for v in new_suite.verdicts]
+                == [(v.x_fixes_y, v.y_fixes_x) for v in old_suite.verdicts])
+        assert new_suite.modes_agree == old_suite.modes_agree
+        assert new_suite.control_consistent == old_suite.control_consistent
+        new_reports, old_reports = (qk.verify_axioms(q, samples=30, seed=seed) for q in (r, old))
+        assert [a.passed for a in new_reports] == [a.passed for a in old_reports]
+        for a, b in zip(new_reports, old_reports):
+            assert abs(a.max_residual - b.max_residual) <= 1e-12
+
+
+@pytest.mark.parametrize("name", ["matrix-hermitian(3)", "fixed-spectrum(1,2,3)"])
+@pytest.mark.parametrize("t_max", [1e9, 1e12])
+def test_noether_control_holds_at_huge_t_max(name, t_max):
+    # The expm form failed this control from t_max 3e8 (matrix-hermitian(3))
+    # and 5e6 (fixed-spectrum(1,2,3)): about 30 squarings amplified rounding
+    # past NOETHER_TOL.  The eigenvector form is unitary at every t.
+    assert qk.noether_suite(HERMITIAN_FLOWS[name](), pairs=1, t_max=t_max).control_consistent
