@@ -64,12 +64,17 @@ def require_hermitian(a, tol: float = HERMITICITY_TOL) -> np.ndarray:
     return a
 
 
+def _operands(x, y) -> tuple[np.ndarray, np.ndarray]:
+    """``as_matrix`` of x and of y, refused unless their members share a dimension."""
+    x, y = as_matrix(x), as_matrix(y)
+    if x.shape[-1] != y.shape[-1]:
+        raise ValueError(f"dimension mismatch: {x.shape[-1]} vs {y.shape[-1]}")
+    return x, y
+
+
 def commutator(x, y) -> np.ndarray:
-    """[X, Y] = XY - YX."""
-    x = as_matrix(x)
-    y = as_matrix(y)
-    if x.shape != y.shape:
-        raise ValueError(f"dimension mismatch: {x.shape[0]} vs {y.shape[0]}")
+    """[X, Y] = XY - YX; stacks of matrices broadcast numpy-style."""
+    x, y = _operands(x, y)
     return x @ y - y @ x
 
 
@@ -120,22 +125,15 @@ def expm(x) -> np.ndarray:
     raise OverflowError(f"matrix exponential overflows: input norm {max_abs(x):.3e}")
 
 
-def _scaled_pair(x, t, y) -> tuple[np.ndarray, np.ndarray]:
-    """(tX, Y), t broadcast against the stack shape of x; x and y must share a dimension."""
-    x, y = as_matrix(x), as_matrix(y)
-    if x.shape[-1] != y.shape[-1]:
-        raise ValueError(f"dimension mismatch: {x.shape[-1]} vs {y.shape[-1]}")
-    with np.errstate(over="raise"):
-        return np.asarray(t)[..., None, None] * x, y
-
-
 def conjugate_by_exp(x, t, y) -> np.ndarray:
     """e^{tX} Y e^{-tX}, the inverse taken by negating the exponent.
 
     No explicit matrix inverse is ever formed.  Leading axes of x, t and y
     broadcast numpy-style, as in the op of a `Realization`.
     """
-    tx, y = _scaled_pair(x, t, y)
+    x, y = _operands(x, y)
+    with np.errstate(over="raise"):
+        tx = np.asarray(t)[..., None, None] * x
     return expm(tx) @ y @ expm(-tx)
 
 

@@ -23,7 +23,7 @@ from .linalg import (
     _check_number,
     _complex_from_units,
     _json_vector,
-    _scaled_pair,
+    _operands,
     commutator,
     conjugate_by_exp,
     hermitize,
@@ -61,7 +61,8 @@ class Realization:
     giving one distance per member.  ``metric(v, 0.0)`` is the norm of a
     tangent vector v such as a bracket, and ``encode`` writes v as it writes
     elements.  ``vector_carrier`` says whether elements subtract and divide
-    by scalars (needed for difference quotients).  ``generator`` maps an
+    by scalars (needed for difference quotients and CSV rows), and
+    ``flat_labels`` names a vector point's CSV columns.  ``generator`` maps an
     element to the plain-convention matrix generator of its flow, when one
     exists.  ``units`` optionally gives ``sample`` on uniform doubles, so that
     engines can read a block of the random stream at once: ``(w, finish)``
@@ -81,8 +82,7 @@ class Realization:
     generator: Optional[Callable[[Any], np.ndarray]] = None
     decode: Optional[Callable[[Any], Any]] = None
     encode: Optional[Callable[[Any], Any]] = None
-    flat_labels: Optional[Callable[[Any], list[str]]] = None
-    flatten: Optional[Callable[[Any], list[float]]] = None
+    flat_labels: Optional[tuple[str, ...]] = None
     params: dict = field(default_factory=dict)
     units: Optional[tuple[Optional[int], Callable[[Any], Any]]] = None
 
@@ -136,9 +136,11 @@ def op_matrix_skew(x: np.ndarray, t, y: np.ndarray) -> np.ndarray:
     """``e^{itX} Y e^{-itX}`` for Hermitian X = V Λ V† (``eigh`` reads only its lower triangle):
     Y + V((V†YV) ∘ F)V† with θ_jk = t(λ_j − λ_k) and F = e^{iθ} − 1 = −2 sin²(θ/2) + i sin θ
     (sin² loses no digits at small t).  One ``eigh`` per x serves all t; y exactly at t = 0."""
-    _, y = _scaled_pair(x, t, y)  # checks only: x, y, and that t·X fits, as in conjugate_by_exp
+    x, y = _operands(x, y)
     lam, v = np.linalg.eigh(x)
     with np.errstate(over="raise", invalid="raise"):
+        # Raises where an entry of t·X overflows, as in conjugate_by_exp: t is real.
+        np.abs(t) * np.max(np.maximum(np.abs(x.real), np.abs(x.imag)), axis=(-2, -1))
         theta = np.asarray(t)[..., None, None] * (lam[..., :, None] - lam[..., None, :])
     vh = v.conj().swapaxes(-1, -2)
     return y + v @ ((vh @ y @ v) * (-2.0 * np.sin(theta / 2) ** 2 + 1j * np.sin(theta))) @ vh
@@ -206,7 +208,7 @@ def bloch_generator(p: np.ndarray) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# metrics, codecs, flatteners
+# metrics and codecs
 
 
 def _matrix_metric(a, b):
@@ -239,36 +241,12 @@ def _encode_vector(v: np.ndarray) -> list:
     return [float(c) for c in v]
 
 
-def _matrix_labels(a: np.ndarray) -> list[str]:
-    n = range(a.shape[0])
-    return [f"{part}_{i}{j}" for i in n for j in n for part in ("re", "im")]
-
-
-def _matrix_flatten(a: np.ndarray) -> list[float]:
-    a = np.asarray(a, dtype=np.complex128)
-    return np.stack([a.real, a.imag], axis=-1).ravel().tolist()
-
-
-# The metric, JSON encoder and CSV flatteners shared by every realization on
-# one kind of carrier.
-_MATRIX_CODEC = dict(
-    metric=_matrix_metric,
-    encode=matrix_to_json,
-    flat_labels=_matrix_labels,
-    flatten=_matrix_flatten,
-)
-
-
-def _vector_codec(dim: int, labels=None, decode=None) -> dict:
-    """Codec of real ``dim``-vectors; CSV columns default to v0, v1, ...,
-    and decoding to a finite-entry check."""
-    labels = [f"v{i}" for i in range(dim)] if labels is None else labels
+def _vector_codec(dim: int, decode=None) -> dict:
+    """Codec of real ``dim``-vectors; decoding defaults to a finite-entry check."""
     return dict(
         metric=_euclidean_metric,
         decode=decode or (lambda obj: _decode_vector(obj, dim)),
         encode=_encode_vector,
-        flat_labels=lambda v: list(labels),
-        flatten=_encode_vector,
     )
 
 
@@ -339,7 +317,8 @@ def matrix_hermitian(dim: int = 2) -> Realization:
         analytic_bracket=lambda x, y: 1j * commutator(x, y),
         generator=lambda x: 1j * x,
         decode=decode,
-        **_MATRIX_CODEC,
+        metric=_matrix_metric,
+        encode=matrix_to_json,
         params={"dim": dim},
     )
 
@@ -356,7 +335,8 @@ def matrix_general(dim: int = 2) -> Realization:
         analytic_bracket=commutator,
         generator=lambda x: x,
         decode=matrix_from_json,
-        **_MATRIX_CODEC,
+        metric=_matrix_metric,
+        encode=matrix_to_json,
         params={"dim": dim},
     )
 
@@ -377,7 +357,8 @@ def bloch() -> Realization:
         sample=_sample_unit_sphere,
         default_tolerance=1e-8,
         analytic_bracket=lambda x, y: np.cross(x, y),
-        **_vector_codec(3, ["x", "y", "z"], decode),
+        flat_labels=("x", "y", "z"),
+        **_vector_codec(3, decode),
     )
 
 

@@ -21,7 +21,7 @@ from typing import Any, Optional
 
 import numpy as np
 
-from .linalg import _check_int, _check_real, as_matrix
+from .linalg import _check_int, _check_real, _operands
 from .realizations import Realization
 
 DEFAULT_SAMPLES = 200
@@ -281,9 +281,10 @@ def integrate_flow(r: Realization, x, y, t_end: float, steps: int) -> Trajectory
     steps = _check_int(steps, "steps", 1)
     t_end = _check_real(t_end, "t_end")
 
-    g, start = as_matrix(r.generator(x)), as_matrix(y)
-    if g.shape != start.shape:
-        raise ValueError(f"dimension mismatch: {g.shape[0]} vs {start.shape[0]}")
+    g, start = _operands(r.generator(x), y)
+    if g.ndim > 2 or start.ndim > 2:
+        raise ValueError(f"integrate_flow takes one x and one y, not a stack: shapes "
+                         f"{g.shape} and {start.shape}")
 
     def field(m):
         return g @ m - m @ g
@@ -315,6 +316,8 @@ def sample_flow(r: Realization, x, y, t_end: float, steps: int) -> Trajectory:
         raise ValueError(f"{r.name} has no time parameter to flow along")
     steps = _check_int(steps, "steps", 1)
     t_end = _check_real(t_end, "t_end")
+    if math.isinf(steps * t_end):  # the grid below forms k * t_end for k up to steps
+        raise ValueError(f"t_end * steps overflows: t_end {t_end!r}, steps {steps}")
     times = [k * t_end / steps for k in range(steps + 1)]
     with np.errstate(over="raise", invalid="raise"):
         try:
@@ -333,13 +336,24 @@ def sample_flow(r: Realization, x, y, t_end: float, steps: int) -> Trajectory:
 
 
 def write_trajectory_csv(traj: Trajectory, r: Realization, stream) -> None:
-    """Emit a trajectory as CSV: header ``t,<component columns>``."""
-    if r.flatten is None or r.flat_labels is None:
+    """Emit a trajectory as CSV: header ``t,<columns>``.  A matrix point gives the real
+    and imaginary part of each entry, row-major, as columns ``re_ij, im_ij``; a vector
+    point gives its entries, as columns ``r.flat_labels`` or else ``v0, v1, ...``."""
+    if not r.vector_carrier:
         raise ValueError(f"{r.name} elements have no flat CSV form")
+    first = np.asarray(traj.points[0])
+    if first.ndim == 2:  # complex128 viewed as float64 is the (re, im) pair of each entry
+        n = range(first.shape[0])
+        labels = [f"{part}_{i}{j}" for i in n for j in n for part in ("re", "im")]
+        dtype = np.complex128
+    else:
+        labels = list(r.flat_labels or (f"v{i}" for i in range(first.size)))
+        dtype = np.float64
     writer = csv.writer(stream)
-    writer.writerow(["t"] + r.flat_labels(traj.points[0]))
+    writer.writerow(["t"] + labels)
     for t, p in zip(traj.times, traj.points):
-        writer.writerow([repr(float(t))] + [repr(v) for v in r.flatten(p)])
+        flat = np.ascontiguousarray(p, dtype=dtype).view(np.float64).ravel()
+        writer.writerow([repr(float(t))] + [repr(v) for v in flat.tolist()])
 
 
 def _noether_scorer(r: Realization, mode, t_samples, t_max, tol):

@@ -10,6 +10,7 @@ import csv
 import io
 import json
 import math
+import re
 import shutil
 import subprocess
 import sys
@@ -481,10 +482,17 @@ SPECTRUM_SIZE_CASES = [
 ]
 
 
+# A t_end whose grid overflows at its last point: it printed a row of inf under exit 0.
+T_END_CASE = ("vector", json.dumps([1.0, 0.0, 0.0]),
+              ["flow", "--realization", "convex-flow", "--dim", "3", "--x", "{x}", "--y", "{y}",
+               "--t-end", "1e308", "--steps", "2"])
+
+
 @settings(max_examples=120)
 @given(case=malformed_inputs())
 @example(case=SPECTRUM_SIZE_CASES[0])
 @example(case=SPECTRUM_SIZE_CASES[1])
+@example(case=T_END_CASE)
 def test_malformed_input_keeps_the_exit_code_contract(contract_dir, case):
     kind, text, argv = case
     x = contract_dir / "x.json"
@@ -497,10 +505,12 @@ def test_malformed_input_keeps_the_exit_code_contract(contract_dir, case):
     assert code in (0, 1, 2)
     if code == 2:
         assert out.getvalue() == "" and err.getvalue().startswith("error: ")
-    if code == 0:
-        assert "NaN" not in out.getvalue() and "Infinity" not in out.getvalue()
+    if code == 0:  # JSON writes NaN and Infinity, CSV nan and inf
+        assert not re.search(r"NaN|Infinity|\bnan\b|\binf\b", out.getvalue())
     if case in SPECTRUM_SIZE_CASES:
         assert code == 2 and "matrix cannot carry" in err.getvalue()
+    if case == T_END_CASE:
+        assert err.getvalue() == "error: t_end * steps overflows: t_end 1e+308, steps 2\n"
 
 
 # ---------------------------------------------------------------------------

@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 import quandlekit as qk
-from quandlekit.linalg import HERMITICITY_TOL, _scaled_pair, eigh
+from quandlekit.linalg import HERMITICITY_TOL, _operands, eigh
 
 SX = np.array([[0, 1], [1, 0]], dtype=complex)
 SY = np.array([[0, -1j], [1j, 0]], dtype=complex)
@@ -140,8 +140,24 @@ def test_commutator_bilinear():
 
 
 def test_commutator_dim_mismatch():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^dimension mismatch: 2 vs 3$"):
         qk.commutator(np.eye(2), np.eye(3))
+
+
+def test_commutator_stack_mismatch_names_the_matrix_dimensions():
+    # Stacks of four: the member dimensions differ, not the stack lengths.
+    with pytest.raises(ValueError, match=r"^dimension mismatch: 2 vs 3$"):
+        qk.commutator(np.zeros((4, 2, 2)), np.zeros((4, 3, 3)))
+
+
+def test_commutator_broadcasts_one_matrix_against_a_stack():
+    rng = np.random.default_rng(12)
+    x = qk.random_complex(rng, 3)
+    ys = np.stack([qk.random_complex(rng, 3) for _ in range(5)])
+    got = qk.commutator(x, ys)
+    assert got.shape == (5, 3, 3)
+    for k in range(5):
+        assert np.array_equal(got[k], qk.commutator(x, ys[k]))
 
 
 # ---------------------------------------------------------------------------
@@ -293,8 +309,9 @@ def test_conjugation_preserves_exponentials():
 def oracle_skew(x, t, y):
     """The retired skew op: U Y U† with U = e^{itX} from `expm`, with the
     checks of `op_matrix_skew`."""
-    tx, y = _scaled_pair(1j * x, t, y)
-    u = qk.expm(tx)
+    x, y = _operands(x, y)
+    with np.errstate(over="raise"):
+        u = qk.expm(np.asarray(t)[..., None, None] * (1j * x))
     return u @ y @ u.conj().swapaxes(-1, -2)
 
 
@@ -347,6 +364,17 @@ def test_skew_op_raises_where_theta_overflows():
     # t·X fits, but t·(λ_j − λ_k) = 2t does not.
     with np.errstate(all="ignore"), pytest.raises(ArithmeticError):
         qk.op_matrix_skew(SZ, 1e308, SX)
+
+
+def test_skew_op_raises_where_t_x_overflows():
+    # θ = 0 for a multiple of the identity, but an entry of t·X overflows, as
+    # it does in conjugate_by_exp; the largest part of X may be imaginary.
+    for x in (1e300 * np.eye(2), 1e300 * SY):
+        with np.errstate(all="ignore"), pytest.raises(ArithmeticError):
+            qk.op_matrix_skew(x, 1e10, SX)
+        with np.errstate(all="ignore"), pytest.raises(ArithmeticError):
+            qk.conjugate_by_exp(1j * x, 1e10, SX)
+    assert np.array_equal(qk.op_matrix_skew(1e300 * np.eye(2), 1.0, SX), SX)
 
 
 def test_skew_op_dimension_mismatch():

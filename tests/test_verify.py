@@ -276,8 +276,13 @@ def test_integrate_flow_validation():
         qk.integrate_flow(r, x, x, t_end=-1.0, steps=10)
     with pytest.raises(ValueError):
         qk.integrate_flow(qk.bloch(), EZ3, EZ3, t_end=1.0, steps=10)
-    with pytest.raises(ValueError, match="dimension mismatch: 2 vs 3"):
+    with pytest.raises(ValueError, match=r"^dimension mismatch: 2 vs 3$"):
         qk.integrate_flow(r, x, np.eye(3), t_end=1.0, steps=10)
+    # A stack of four 2x2 matrices is refused as a stack, not as "2 vs 4".
+    with pytest.raises(ValueError, match=r"^integrate_flow takes one x and one y, not a stack"):
+        qk.integrate_flow(r, x, np.zeros((4, 2, 2)), t_end=1.0, steps=10)
+    with pytest.raises(ValueError, match=r"not a stack: shapes \(4, 2, 2\) and \(2, 2\)$"):
+        qk.integrate_flow(r, np.zeros((4, 2, 2)), x, t_end=1.0, steps=10)
     with pytest.raises(ValueError, match="non-finite"):
         qk.integrate_flow(r, x, np.full((2, 2), np.nan), t_end=1.0, steps=10)
 
@@ -332,6 +337,15 @@ def test_sample_flow_grid_and_endpoint():
     assert np.allclose(traj.points[-1], r.op(x, 2.0, y))
     with pytest.raises(ValueError):
         qk.sample_flow(qk.convex_spindle(0.5), y, y, 1.0, 4)
+
+
+@pytest.mark.parametrize("r", [qk.convex_flow(3), qk.bloch()], ids=lambda r: r.name)
+def test_sample_flow_refuses_a_grid_that_overflows(r):
+    # The grid forms k * t_end up to k = steps: 2e308 is inf, which convex-flow
+    # used to print as a point under exit 0, and bloch blamed on t = inf.
+    with pytest.raises(ValueError, match=r"^t_end \* steps overflows: t_end 1e\+308, steps 2$"):
+        qk.sample_flow(r, EZ3, EZ3, t_end=1e308, steps=2)
+    assert qk.sample_flow(r, EZ3, EZ3, t_end=1e308, steps=1).times == (0.0, 1e308)
 
 
 # Where an op or a numpy reports no FP flag, a non-finite result is still
@@ -420,6 +434,44 @@ def test_write_trajectory_csv():
     assert first == [0.0, 1.0, 0.0, 0.0]
     with pytest.raises(ValueError):
         qk.write_trajectory_csv(traj, qk.union_lie(), io.StringIO())
+
+
+@pytest.mark.parametrize("r", [qk.convex_flow(3), qk.convex_spindle(0.5, 3)], ids=lambda r: r.name)
+def test_vector_csv_columns_default_to_v(r):
+    traj = qk.Trajectory((0.0, 1.0), (np.array([1, 2, 3]), np.array([0.5, -0.0, 1e-300])), r.name,
+                         None, None)
+    buf = io.StringIO()
+    qk.write_trajectory_csv(traj, r, buf)
+    assert buf.getvalue().splitlines() == ["t,v0,v1,v2", "0.0,1.0,2.0,3.0", "1.0,0.5,-0.0,1e-300"]
+
+
+def test_csv_of_a_vector_realization_without_labels():
+    # A hand-built vector carrier names no columns; it gets v0, v1, ...
+    r = qk.Realization(
+        name="shift",
+        carrier="reals under translation",
+        op=lambda x, t, y: y + np.asarray(t)[..., None] * x,
+        metric=lambda a, b: np.abs(a - b)[..., 0],
+        sample=lambda rng: rng.random(1),
+        default_tolerance=1e-12,
+    )
+    buf = io.StringIO()
+    qk.write_trajectory_csv(qk.sample_flow(r, np.array([2.0]), np.array([1]), 1.0, 2), r, buf)
+    assert buf.getvalue().splitlines() == ["t,v0", "0.0,1.0", "0.5,2.0", "1.0,3.0"]
+
+
+def test_matrix_csv_of_a_real_valued_point():
+    # A real y is written with zero imaginary parts, the flow's points as complex.
+    r = qk.matrix_general(2)
+    y = np.array([[1.0, 2.0], [3.0, 4.0]])
+    traj = qk.sample_flow(r, np.zeros((2, 2)), y, t_end=1.0, steps=1)
+    buf = io.StringIO()
+    qk.write_trajectory_csv(traj, r, buf)
+    assert buf.getvalue().splitlines() == [
+        "t,re_00,im_00,re_01,im_01,re_10,im_10,re_11,im_11",
+        "0.0,1.0,0.0,2.0,0.0,3.0,0.0,4.0,0.0",
+        "1.0,1.0,0.0,2.0,0.0,3.0,0.0,4.0,0.0",
+    ]
 
 
 def test_matrix_csv_labels_row_major():
