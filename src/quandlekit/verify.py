@@ -349,11 +349,11 @@ def write_trajectory_csv(traj: Trajectory, r: Realization, stream) -> None:
     else:
         labels = list(r.flat_labels or (f"v{i}" for i in range(first.size)))
         dtype = np.float64
+    flat = np.ascontiguousarray(traj.points, dtype=dtype).view(np.float64)
     writer = csv.writer(stream)
     writer.writerow(["t"] + labels)
-    for t, p in zip(traj.times, traj.points):
-        flat = np.ascontiguousarray(p, dtype=dtype).view(np.float64).ravel()
-        writer.writerow([repr(float(t))] + [repr(v) for v in flat.tolist()])
+    for t, row in zip(traj.times, flat.reshape(len(flat), -1).tolist()):
+        writer.writerow([repr(float(t))] + [repr(v) for v in row])
 
 
 def _noether_scorer(r: Realization, mode, t_samples, t_max, tol):
