@@ -16,12 +16,12 @@ import numpy as np
 MAX_DIM = 16
 HERMITICITY_TOL = 1e-12
 
-# Taylor coefficients 1/k! up to degree 18, used after scaling the argument to
-# Frobenius norm <= 1/2: the tail sum_{k>18} X^k/k! is then below
-# 1.03 * 0.5**19/19! ~ 1.6e-23 in norm, far under double rounding.
-_EXPM_COEFFS = [1.0 / math.factorial(k) for k in range(19)]
-# Every entry of e^X is at most e^{||X||}, so below this Frobenius norm
-# (log of the largest double is 709.78) the result cannot overflow.
+# The [13/13] Pade numerator's b_k / b_0 = C(13, k) (26-k)! / 26!, so that V(0) = I
+# exactly, and its theta_13 (Higham 2005, SIMAX 26(4)); `expm` scales to theta_13 / 2.
+_PADE13 = [math.comb(13, k) / math.perm(26, k) for k in range(14)]
+_THETA13 = 5.371920351148152
+# Every entry of e^X or e^{-X} is at most e^{||X||_1}, so below this 1-norm (log
+# of the largest double is 709.78) neither can overflow.
 _EXPM_SAFE_NORM = 709.0
 
 
@@ -78,63 +78,59 @@ def commutator(x, y) -> np.ndarray:
     return x @ y - y @ x
 
 
-def expm(x) -> np.ndarray:
-    """Matrix exponential by scaling and squaring around a Taylor core.
-
-    The argument is scaled by 2**-s until its Frobenius norm is at most 1/2.
-    Its degree-18 Taylor polynomial is evaluated by Paterson-Stockmeyer, in
-    seven matrix products where term-by-term Horner takes eighteen: with the
-    blocks B_j = c_{4j} I + c_{4j+1} X + c_{4j+2} X² + c_{4j+3} X³ (c_k = 1/k!),
-    it is B_0 + X⁴(B_1 + X⁴(B_2 + X⁴(B_3 + X⁴ B_4))).  The result is then
-    squared s times.  A stack ``(..., n, n)`` is exponentiated in one pass
-    with an s of its own for every member, so each member comes out exactly
-    as it would alone.  Raises ``OverflowError``, naming the input's max-abs
-    norm, when the result does not fit in double precision, whatever
-    ``np.errstate`` says.
-    """
+def _expm_pair(x, halves: int = 2) -> np.ndarray:
+    """The stack ``[e^X, e^{-X}]`` of `expm`; raises ``OverflowError`` when one of
+    its first ``halves`` halves does not fit."""
     x = as_matrix(x)
     # Overflow is read off the result, so numpy need not warn or raise.
     with np.errstate(over="ignore", invalid="ignore"):
-        norm = np.linalg.norm(x, axis=(-2, -1))
+        norm = np.linalg.norm(x, 1, axis=(-2, -1))
         if np.isfinite(norm).all():
-            # s = ceil(log2(norm)) + 1 above norm 1/2, else 0, read off the
-            # binary exponent exactly.
+            # The least s >= 0 with norm <= 2**s * theta_13 / 2, read off frexp exactly.
             mantissa, exponent = np.frexp(norm)
-            squarings = np.maximum(exponent + (mantissa > 0.5), 0)
-            scaled = x * np.ldexp(1.0, -squarings)[..., None, None]
-            eye = np.eye(x.shape[-1], dtype=complex)
-            x2 = scaled @ scaled
-            x3, x4 = x2 @ scaled, x2 @ x2
-            c = _EXPM_COEFFS
-            # Each block is summed smallest term first and the identity last,
-            # as in Horner: largest first measured less accurate.
-            acc = c[18] * x2 + c[17] * scaled + c[16] * eye
-            for j in (12, 8, 4, 0):
-                acc = c[j + 3] * x3 + c[j + 2] * x2 + c[j + 1] * scaled + x4 @ acc + c[j] * eye
-            # Only the members still owed a squaring are squared, so none
-            # can overflow on squarings it does not need.
+            squarings = np.maximum(exponent - 2 + (mantissa > _THETA13 / 8), 0)
+            a = x * np.ldexp(1.0, -squarings)[..., None, None]
+            a2, b = a @ a, _PADE13
+            a4 = a2 @ a2
+            a6, eye = a4 @ a2, np.eye(x.shape[-1], dtype=complex)
+            u = a @ (a6 @ (b[13] * a6 + b[11] * a4 + b[9] * a2)
+                     + b[7] * a6 + b[5] * a4 + b[3] * a2 + b[1] * eye)
+            v = a6 @ (b[12] * a6 + b[10] * a4 + b[8] * a2) + b[6] * a6 + b[4] * a4 + b[2] * a2 + eye
+            pair = np.linalg.solve(np.stack([v - u, v + u]), np.stack([v + u, v - u]))
+            # Only members still owed a squaring are squared: none overflows needlessly.
             for i in range(int(squarings.max())):
                 owed = squarings > i
                 if owed.all():
-                    acc = acc @ acc
+                    pair = pair @ pair
                 else:
-                    sub = acc[owed]
-                    acc[owed] = sub @ sub
-            if norm.max() <= _EXPM_SAFE_NORM or np.isfinite(acc).all():
-                return acc
+                    sub = pair[:, owed]
+                    pair[:, owed] = sub @ sub
+            if norm.max() <= _EXPM_SAFE_NORM or np.isfinite(pair[:halves]).all():
+                return pair
     raise OverflowError(f"matrix exponential overflows: input norm {max_abs(x):.3e}")
 
 
-def conjugate_by_exp(x, t, y) -> np.ndarray:
-    """e^{tX} Y e^{-tX}, the inverse taken by negating the exponent.
+def expm(x) -> np.ndarray:
+    """Matrix exponential by scaling and squaring around Higham's [13/13] Pade approximant.
 
-    No explicit matrix inverse is ever formed.  Leading axes of x, t and y
-    broadcast numpy-style, as in the op of a `Realization`.
-    """
+    Each member is scaled by 2**-s to 1-norm theta_13 / 2 or less; from a², a⁴, a⁶
+    the odd part U and even part V of the numerator take six products in all, and
+    r(a) = (V - U)⁻¹(V + U) is one LAPACK solve, squared back s times.  Each member
+    of a stack ``(..., n, n)`` gets its own s, so it comes out exactly as it would
+    alone.  Raises ``OverflowError``, naming the input's max-abs norm, when the
+    result does not fit in double precision, whatever ``np.errstate`` says."""
+    return _expm_pair(x, 1)[0]
+
+
+def conjugate_by_exp(x, t, y) -> np.ndarray:
+    """e^{tX} Y e^{-tX} from one `expm` evaluation: r(-a) = (V + U)⁻¹(V - U) is solved
+    in the same call, and as negation is exact, e^{-tX} is bitwise ``expm(-t * x)``.
+    Leading axes of x, t and y broadcast numpy-style, as in a `Realization` op."""
     x, y = _operands(x, y)
     with np.errstate(over="raise"):
         tx = np.asarray(t)[..., None, None] * x
-    return expm(tx) @ y @ expm(-tx)
+    pair = _expm_pair(tx)
+    return pair[0] @ y @ pair[1]
 
 
 def eigh(a) -> tuple[np.ndarray, np.ndarray]:

@@ -291,6 +291,8 @@ def integrate_flow(r: Realization, x, y, t_end: float, steps: int) -> Trajectory
 
     h, k = t_end / steps, 1  # an error while forming the step matrix is named at t = h
     times = [k * h for k in range(steps + 1)]
+    if len(set(times)) <= steps:  # a subnormal t_end / steps rounds grid times together
+        raise ValueError(f"t_end {t_end!r} is too small for {steps} steps: grid times coincide")
     out = np.empty((steps + 1, start.size), dtype=complex)
     out[0] = start.reshape(-1)
     with np.errstate(over="raise", invalid="raise"):
@@ -319,6 +321,8 @@ def sample_flow(r: Realization, x, y, t_end: float, steps: int) -> Trajectory:
     if math.isinf(steps * t_end):  # the grid below forms k * t_end for k up to steps
         raise ValueError(f"t_end * steps overflows: t_end {t_end!r}, steps {steps}")
     times = [k * t_end / steps for k in range(steps + 1)]
+    if len(set(times)) <= steps:  # as in integrate_flow
+        raise ValueError(f"t_end {t_end!r} is too small for {steps} steps: grid times coincide")
     with np.errstate(over="raise", invalid="raise"):
         try:
             flow = r.op(x, np.array(times[1:]), y)

@@ -488,11 +488,22 @@ T_END_CASE = ("vector", json.dumps([1.0, 0.0, 0.0]),
                "--t-end", "1e308", "--steps", "2"])
 
 
+# A subnormal t_end whose grid times coincide: refused as "times must be strictly increasing".
+TINY_T_END_CASES = [
+    ("matrix", json.dumps(qk.matrix_to_json(qk.PAULI_Z)),
+     ["flow", "--realization", "matrix-general", "--x", "{x}", "--y", "{y}",
+      "--t-end", "5e-324", "--steps", "2", "--method", method])
+    for method in ("closed", "rk4")
+]
+
+
 @settings(max_examples=120)
 @given(case=malformed_inputs())
 @example(case=SPECTRUM_SIZE_CASES[0])
 @example(case=SPECTRUM_SIZE_CASES[1])
 @example(case=T_END_CASE)
+@example(case=TINY_T_END_CASES[0])
+@example(case=TINY_T_END_CASES[1])
 def test_malformed_input_keeps_the_exit_code_contract(contract_dir, case):
     kind, text, argv = case
     x = contract_dir / "x.json"
@@ -511,6 +522,8 @@ def test_malformed_input_keeps_the_exit_code_contract(contract_dir, case):
         assert code == 2 and "matrix cannot carry" in err.getvalue()
     if case == T_END_CASE:
         assert err.getvalue() == "error: t_end * steps overflows: t_end 1e+308, steps 2\n"
+    if case in TINY_T_END_CASES:
+        assert err.getvalue() == "error: t_end 5e-324 is too small for 2 steps: grid times coincide\n"
 
 
 # ---------------------------------------------------------------------------

@@ -1,20 +1,24 @@
 """Matrix-core tests.
 
-The hand-rolled expm is checked against independent oracles: a straight
-truncated power series, eigendecomposition-based reconstruction, and the
-18-step Horner Taylor core it used before its Paterson-Stockmeyer core.  The
-LAPACK-backed eigh/spectrum wrappers are checked for ordering, eigenpair
-residuals and the Hermiticity gate.
+The hand-rolled expm, a [13/13] Pade core, is checked against independent
+oracles: a straight truncated power series, eigendecomposition-based
+reconstruction, and the two Taylor-18 kernels it replaced, the Horner core
+and the Paterson-Stockmeyer core after it.  The LAPACK-backed eigh/spectrum
+wrappers are checked for ordering, eigenpair residuals and the Hermiticity
+gate.
 """
 
 import math
 import re
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import quandlekit as qk
-from quandlekit.linalg import HERMITICITY_TOL, _operands, eigh
+from quandlekit.linalg import _THETA13, HERMITICITY_TOL, _operands, eigh
 
 SX = np.array([[0, 1], [1, 0]], dtype=complex)
 SY = np.array([[0, -1j], [1j, 0]], dtype=complex)
@@ -44,6 +48,28 @@ def oracle_expm_horner(x):
     acc = eye
     for k in range(18, 0, -1):
         acc = eye + (scaled @ acc) / k
+    for i in range(int(squarings.max())):
+        acc = np.where((squarings > i)[..., None, None], acc @ acc, acc)
+    return acc
+
+
+def oracle_expm_taylor(x):
+    """The retired expm kernel after Horner: the same scaling to Frobenius norm
+    1/2 and masked squarings around the degree-18 Taylor polynomial by
+    Paterson-Stockmeyer, B_0 + X⁴(B_1 + X⁴(B_2 + X⁴(B_3 + X⁴ B_4))) with
+    B_j = c_{4j} I + c_{4j+1} X + c_{4j+2} X² + c_{4j+3} X³ and c_k = 1/k!."""
+    x = np.asarray(x, dtype=complex)
+    norm = np.linalg.norm(x, axis=(-2, -1))
+    mantissa, exponent = np.frexp(norm)
+    squarings = np.maximum(exponent + (mantissa > 0.5), 0)
+    scaled = x * np.ldexp(1.0, -squarings)[..., None, None]
+    eye = np.eye(x.shape[-1], dtype=complex)
+    x2 = scaled @ scaled
+    x3, x4 = x2 @ scaled, x2 @ x2
+    c = [1.0 / math.factorial(k) for k in range(19)]
+    acc = c[18] * x2 + c[17] * scaled + c[16] * eye
+    for j in (12, 8, 4, 0):
+        acc = c[j + 3] * x3 + c[j + 2] * x2 + c[j + 1] * scaled + x4 @ acc + c[j] * eye
     for i in range(int(squarings.max())):
         acc = np.where((squarings > i)[..., None, None], acc @ acc, acc)
     return acc
@@ -213,6 +239,19 @@ def test_expm_matches_horner_oracle(dim):
         assert qk.max_abs(got - oracle_expm_horner(single)) <= 5e-14 * qk.max_abs(got)
 
 
+@pytest.mark.parametrize("dim", range(1, 7))
+def test_expm_matches_taylor_oracle(dim):
+    # Pade and Taylor round differently and scale differently (1-norm
+    # theta_13 / 2 against Frobenius norm 1/2): at most 1.59e-14 relative on
+    # seed 0, 1.17-1.44e-14 on seeds 1-3.
+    x, _ = seeded_generators(0, dim)
+    got = qk.expm(x)
+    assert np.all(max_abs_rows(got - oracle_expm_taylor(x)) <= 5e-14 * max_abs_rows(got))
+    for single in x[::50]:
+        got = qk.expm(single)
+        assert qk.max_abs(got - oracle_expm_taylor(single)) <= 5e-14 * qk.max_abs(got)
+
+
 def test_expm_is_as_accurate_as_horner_against_eigh():
     # e^{cH} = V diag(e^{cw}) V† for H = V diag(w) V†, on the Hermitian and
     # skew-Hermitian generators of dims 1-6 (about 2000).
@@ -271,6 +310,63 @@ def test_expm_overflow_names_input_norm_when_numpy_raises(x, norm):
 
 # ---------------------------------------------------------------------------
 # conjugate_by_exp
+
+
+EDGES = (_THETA13 / 2, np.nextafter(_THETA13 / 2, np.inf))
+
+
+@settings(max_examples=40)
+@given(
+    dim=st.integers(min_value=1, max_value=6),
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+    norms=st.lists(st.one_of(st.sampled_from(EDGES),
+                             st.floats(min_value=-3.0, max_value=2.5).map(lambda e: 10.0**e)),
+                   min_size=1, max_size=8),
+    ts=st.lists(st.floats(min_value=-2.0, max_value=2.0), max_size=3),
+)
+def test_conjugate_by_exp_is_the_two_exponentials_bitwise(dim, seed, norms, ts):
+    # Generators of 1-norm log-uniform in [1e-3, 10**2.5], or exactly at the
+    # scaling edge theta_13 / 2 or one double above it, where the squaring
+    # count steps from 0 to 1; t = 1 keeps the edge on every example.  Below
+    # 1-norm 709 after scaling by |t| <= 2, no exponential can overflow.
+    rng = np.random.default_rng(seed)
+    xs = []
+    for norm in norms:
+        g = qk.random_complex(rng, dim)
+        if norm in EDGES:
+            g = g / (4 * np.linalg.norm(g, 1))  # columns of 1-norm about 1/4
+            g[:, 0], g[0, 0] = 0.0, norm        # and one column of exactly norm
+        else:
+            g = g * (norm / np.linalg.norm(g, 1))
+        xs.append(g)
+    x, t = np.stack(xs)[:, None], np.array([1.0, *ts])  # (N, 1) x (T,) broadcast
+    y = np.stack([qk.random_complex(rng, dim) for _ in norms])[:, None]
+    edges = [k for k, norm in enumerate(norms) if norm in EDGES]
+    assert np.array_equal(np.linalg.norm(x[edges, 0], 1, axis=(-2, -1)), np.take(norms, edges))
+    tx = t[..., None, None] * x
+    try:
+        got = qk.conjugate_by_exp(x, t, y)
+        want = qk.expm(tx) @ y @ qk.expm(-tx)
+        members = [qk.conjugate_by_exp(x[k, 0], t, y[k, 0]) for k in range(len(norms))]
+    except np.linalg.LinAlgError as exc:
+        pytest.fail(f"LinAlgError escaped: {exc}")
+    assert got.shape == (len(norms), len(t), dim, dim)
+    assert np.array_equal(got, want)
+    assert np.array_equal(got, np.stack(members))
+
+
+def test_conjugate_overflow_where_only_e_minus_t_x_overflows(capfd):
+    x, y = np.diag([-800.0, 0.0]), np.eye(2)
+    assert np.isfinite(qk.expm(x)).all()  # e^{tX} alone fits; e^{-tX} does not
+    for mode in ("warn", "raise", "ignore"):
+        with warnings.catch_warnings(record=True) as caught, np.errstate(over=mode, invalid=mode):
+            warnings.simplefilter("always")
+            with pytest.raises(OverflowError, match=re.escape("input norm 8.000e+02")):
+                qk.conjugate_by_exp(x, 1.0, y)
+            with pytest.raises(OverflowError, match=re.escape("input norm 8.000e+02")):
+                qk.conjugate_by_exp(np.stack([np.zeros((2, 2)), x]), 1.0, y)
+        assert caught == []
+    assert capfd.readouterr().err == ""
 
 
 def test_conjugate_at_zero_is_identity():

@@ -303,6 +303,19 @@ def test_flows_refuse_coerced_parameters(flow, changes, error):
         flow(qk.matrix_general(2), x, x, **{"t_end": 1.0, "steps": 10, **changes})
 
 
+@pytest.mark.parametrize("flow", [qk.integrate_flow, qk.sample_flow])
+def test_flows_refuse_a_grid_whose_times_coincide(flow):
+    # A subnormal t_end / steps rounds two grid times together (5e-324 / 2 is
+    # 0): the flows used to pass such a grid on, and Trajectory refused it as
+    # "times must be strictly increasing", naming neither t_end nor steps.
+    r, x = qk.matrix_general(2), np.eye(2, dtype=complex)
+    with pytest.raises(ValueError,
+                       match=r"^t_end 5e-324 is too small for 2 steps: grid times coincide$"):
+        flow(r, x, x, t_end=5e-324, steps=2)
+    assert flow(r, x, x, t_end=5e-324, steps=1).times == (0.0, 5e-324)
+    assert flow(r, x, x, t_end=2e-323, steps=4).times == (0.0, 5e-324, 1e-323, 1.5e-323, 2e-323)
+
+
 def test_rk4_fourth_order_decay_and_endpoint():
     rng = np.random.default_rng(11)
     for dim in (2, 3):
