@@ -79,8 +79,7 @@ def commutator(x, y) -> np.ndarray:
 
 
 def _expm_pair(x, halves: int = 2) -> np.ndarray:
-    """The stack ``[e^X, e^{-X}]`` of `expm`; raises ``OverflowError`` when one of
-    its first ``halves`` halves does not fit."""
+    """The first ``halves`` of ``[e^X, e^{-X}]`` for `expm`; ``OverflowError`` if one overflows."""
     x = as_matrix(x)
     # Overflow is read off the result, so numpy need not warn or raise.
     with np.errstate(over="ignore", invalid="ignore"):
@@ -96,7 +95,8 @@ def _expm_pair(x, halves: int = 2) -> np.ndarray:
             u = a @ (a6 @ (b[13] * a6 + b[11] * a4 + b[9] * a2)
                      + b[7] * a6 + b[5] * a4 + b[3] * a2 + b[1] * eye)
             v = a6 @ (b[12] * a6 + b[10] * a4 + b[8] * a2) + b[6] * a6 + b[4] * a4 + b[2] * a2 + eye
-            pair = np.linalg.solve(np.stack([v - u, v + u]), np.stack([v + u, v - u]))
+            pair = np.linalg.solve(np.stack([v - u, v + u][:halves]),
+                                   np.stack([v + u, v - u][:halves]))
             # Only members still owed a squaring are squared: none overflows needlessly.
             for i in range(int(squarings.max())):
                 owed = squarings > i
@@ -105,7 +105,7 @@ def _expm_pair(x, halves: int = 2) -> np.ndarray:
                 else:
                     sub = pair[:, owed]
                     pair[:, owed] = sub @ sub
-            if norm.max() <= _EXPM_SAFE_NORM or np.isfinite(pair[:halves]).all():
+            if norm.max() <= _EXPM_SAFE_NORM or np.isfinite(pair).all():
                 return pair
     raise OverflowError(f"matrix exponential overflows: input norm {max_abs(x):.3e}")
 
