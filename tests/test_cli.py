@@ -346,7 +346,7 @@ def test_bracket_union_unsupported(capsys, tmp_path):
     (400.0, ["flow", "--t-end", "3"], "sample_flow"),
     (400.0, ["flow", "--t-end", "3", "--method", "rk4"], "integrate_flow"),
     (400.0, ["bracket", "--h", "1"], "numeric_bracket"),
-    # the Frobenius norm of X itself overflows
+    # e^{tX} overflows in its squarings
     (1e200, ["flow"], "sample_flow"),
     (1e200, ["bracket"], "numeric_bracket"),
 ])
@@ -488,7 +488,8 @@ T_END_CASE = ("vector", json.dumps([1.0, 0.0, 0.0]),
                "--t-end", "1e308", "--steps", "2"])
 
 
-# A subnormal t_end whose grid times coincide: refused as "times must be strictly increasing".
+# A subnormal t_end whose grid times coincide: it was refused as "times must be strictly
+# increasing", naming neither t_end nor steps.
 TINY_T_END_CASES = [
     ("matrix", json.dumps(qk.matrix_to_json(qk.PAULI_Z)),
      ["flow", "--realization", "matrix-general", "--x", "{x}", "--y", "{y}",
