@@ -18,8 +18,10 @@ from . import finite
 from .linalg import matrix_from_json, spectrum
 from .realizations import REALIZATION_NAMES, make_realization
 from .verify import (
+    DEFAULT_PAIRS,
     DEFAULT_SAMPLES,
     DEFAULT_SEED,
+    DEFAULT_STEP,
     NOETHER_GRID,
     NOETHER_TOL,
     PARAM_RANGE,
@@ -205,7 +207,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("noether", help="pairwise fixes-each-other consistency")
     _add_realization_flags(p)
-    p.add_argument("--pairs", type=int, default=100)
+    p.add_argument("--pairs", type=int, default=DEFAULT_PAIRS)
     p.add_argument("--seed", type=int, default=DEFAULT_SEED)
     p.add_argument("--tol", type=float, default=NOETHER_TOL)
     p.add_argument("--t-samples", type=int, default=NOETHER_GRID)
@@ -225,7 +227,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_realization_flags(p)
     p.add_argument("--x", required=True, help="JSON file: first element")
     p.add_argument("--y", required=True, help="JSON file: second element")
-    p.add_argument("--h", type=float, default=1e-4, help="difference step")
+    p.add_argument("--h", type=float, default=DEFAULT_STEP, help="difference step")
     p.set_defaults(func=cmd_bracket)
 
     return parser

@@ -128,12 +128,7 @@ class StructureReport:
     violations: tuple[tuple[str, tuple[int, ...]], ...]
 
     def to_json(self) -> dict:
-        return {
-            "is_shelf": self.is_shelf,
-            "is_spindle": self.is_spindle,
-            "is_quandle": self.is_quandle,
-            "violations": [[name, list(w)] for name, w in self.violations],
-        }
+        return {**vars(self), "violations": [[name, list(w)] for name, w in self.violations]}
 
 
 def _first_distributivity_violation(t: Table, n: int):

@@ -99,12 +99,11 @@ def _expm_pair(x, halves: int = 2) -> np.ndarray:
                                    np.stack([v + u, v - u][:halves]))
             # Only members still owed a squaring are squared: none overflows needlessly.
             for i in range(int(squarings.max())):
+                if norm.max() > _EXPM_SAFE_NORM and not np.isfinite(pair).all():
+                    break  # squaring keeps an entry non-finite: refuse at once
                 owed = squarings > i
-                if owed.all():
-                    pair = pair @ pair
-                else:
-                    sub = pair[:, owed]
-                    pair[:, owed] = sub @ sub
+                sub = pair[:, owed]
+                pair[:, owed] = sub @ sub
             if norm.max() <= _EXPM_SAFE_NORM or np.isfinite(pair).all():
                 return pair
     raise OverflowError(f"matrix exponential overflows: input norm {max_abs(x):.3e}")

@@ -30,6 +30,7 @@ PARAM_RANGE = 3.0
 NOETHER_TOL = 1e-7
 NOETHER_GRID = 41
 DEFAULT_STEP = 1e-4
+DEFAULT_PAIRS = 100
 # Members are scored in blocks of at most this many numbers per op output,
 # so that memory stays flat however many pairs or samples there are.
 BLOCK_NUMBERS = 2**15
@@ -48,15 +49,7 @@ class AxiomReport:
     passed: bool
 
     def to_json(self) -> dict:
-        return {
-            "realization": self.realization,
-            "axiom": self.axiom,
-            "samples": self.samples,
-            "max_residual": self.max_residual,
-            "worst_case": self.worst_case,
-            "tolerance": self.tolerance,
-            "pass": self.passed,
-        }
+        return {("pass" if k == "passed" else k): v for k, v in vars(self).items()}
 
 
 @dataclass(frozen=True)
@@ -96,15 +89,7 @@ class NoetherVerdict:
 
     def to_json(self, encode=None) -> dict:
         enc = encode if encode is not None else repr
-        return {
-            "x": enc(self.x),
-            "y": enc(self.y),
-            "x_fixes_y": self.x_fixes_y,
-            "y_fixes_x": self.y_fixes_x,
-            "consistent": self.consistent,
-            "method": self.method,
-            "residuals": dict(self.residuals),
-        }
+        return {**vars(self), "x": enc(self.x), "y": enc(self.y), "residuals": dict(self.residuals)}
 
 
 @dataclass(frozen=True)
@@ -271,6 +256,19 @@ def numeric_bracket(r: Realization, x, y, h: float = DEFAULT_STEP):
     return quotient
 
 
+def _grid(t_end, steps) -> list:
+    """The times k * t_end / steps, k = 0..steps, that both flows report, after
+    checking t_end and steps and refusing a grid that overflows or collapses."""
+    steps = _check_int(steps, "steps", 1)
+    t_end = _check_real(t_end, "t_end")
+    if math.isinf(steps * t_end):  # the grid forms k * t_end for k up to steps
+        raise ValueError(f"t_end * steps overflows: t_end {t_end!r}, steps {steps}")
+    times = [k * t_end / steps for k in range(steps + 1)]
+    if len(set(times)) <= steps:  # a subnormal t_end / steps rounds grid times together
+        raise ValueError(f"t_end {t_end!r} is too small for {steps} steps: grid times coincide")
+    return times
+
+
 def integrate_flow(r: Realization, x, y, t_end: float, steps: int) -> Trajectory:
     """Classical Runge–Kutta for Ẏ = [gen(x), Y] from Y(0) = y, applied as its n²×n²
     step matrix S, one vector-matrix product per step.  A step rounds relative to
@@ -278,8 +276,7 @@ def integrate_flow(r: Realization, x, y, t_end: float, steps: int) -> Trajectory
     stepping by about 1.1e-15 · steps · max(1, max|S|) · max|p| (measured, dims 1-16)."""
     if r.generator is None:
         raise ValueError(f"{r.name} has no matrix generator to integrate")
-    steps = _check_int(steps, "steps", 1)
-    t_end = _check_real(t_end, "t_end")
+    times = _grid(t_end, steps)
 
     g, start = _operands(r.generator(x), y)
     if g.ndim > 2 or start.ndim > 2:
@@ -289,11 +286,8 @@ def integrate_flow(r: Realization, x, y, t_end: float, steps: int) -> Trajectory
     def field(m):
         return g @ m - m @ g
 
-    h, k = t_end / steps, 1  # an error while forming the step matrix is named at t = h
-    times = [k * h for k in range(steps + 1)]
-    if len(set(times)) <= steps:  # a subnormal t_end / steps rounds grid times together
-        raise ValueError(f"t_end {t_end!r} is too small for {steps} steps: grid times coincide")
-    out = np.empty((steps + 1, start.size), dtype=complex)
+    h, k = times[1], 1  # t_end / steps; an error forming the step matrix is named at t = h
+    out = np.empty((len(times), start.size), dtype=complex)
     out[0] = start.reshape(-1)
     with np.errstate(over="raise", invalid="raise"):
         try:
@@ -303,26 +297,20 @@ def integrate_flow(r: Realization, x, y, t_end: float, steps: int) -> Trajectory
             k3 = field(m + 0.5 * h * k2)
             k4 = field(m + h * k3)
             step = (m + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)).reshape(start.size, -1)
-            for k in range(1, steps + 1):
+            for k in range(1, len(times)):
                 np.matmul(out[k - 1], step, out=out[k])
         except FloatingPointError as exc:
             raise ArithmeticError(f"integrate_flow at t = {times[k]!r}: {exc}") from exc
     # Where a numpy does not report FP flags from matmul, inf still stops here.
     _check_finite("integrate_flow", times, out)
-    return Trajectory(tuple(times), (start, *out[1:].reshape(steps, *start.shape)), r.name, x, y)
+    return Trajectory(tuple(times), (start, *out[1:].reshape(-1, *start.shape)), r.name, x, y)
 
 
 def sample_flow(r: Realization, x, y, t_end: float, steps: int) -> Trajectory:
     """Closed-form trajectory: the realization's own op on a grid, in one call."""
     if not r.family:
         raise ValueError(f"{r.name} has no time parameter to flow along")
-    steps = _check_int(steps, "steps", 1)
-    t_end = _check_real(t_end, "t_end")
-    if math.isinf(steps * t_end):  # the grid below forms k * t_end for k up to steps
-        raise ValueError(f"t_end * steps overflows: t_end {t_end!r}, steps {steps}")
-    times = [k * t_end / steps for k in range(steps + 1)]
-    if len(set(times)) <= steps:  # as in integrate_flow
-        raise ValueError(f"t_end {t_end!r} is too small for {steps} steps: grid times coincide")
+    times = _grid(t_end, steps)
     with np.errstate(over="raise", invalid="raise"):
         try:
             flow = r.op(x, np.array(times[1:]), y)
@@ -334,7 +322,8 @@ def sample_flow(r: Realization, x, y, t_end: float, steps: int) -> Trajectory:
                 except ArithmeticError as point_exc:
                     raise ArithmeticError(f"sample_flow at t = {t!r}: {point_exc}") from exc
                 _check_finite("sample_flow", [t], point)
-            raise ArithmeticError(f"sample_flow at t in [{times[1]!r}, {t_end!r}]: {exc}") from exc
+            raise ArithmeticError(
+                f"sample_flow at t in [{times[1]!r}, {float(t_end)!r}]: {exc}") from exc
     _check_finite("sample_flow", times[1:], flow)
     return Trajectory(tuple(times), (y, *flow), r.name, x, y)
 
@@ -420,7 +409,7 @@ def noether_check(
 
 def noether_suite(
     r: Realization,
-    pairs: int = 100,
+    pairs: int = DEFAULT_PAIRS,
     seed: int = DEFAULT_SEED,
     t_samples: int = NOETHER_GRID,
     t_max: float = PARAM_RANGE,

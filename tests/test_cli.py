@@ -366,7 +366,7 @@ def test_non_finite_output_exits_two(capsys, tmp_path, scale, argv, stage):
     (["flow", "--t-end", "1.5"], "sample_flow at t = 0.9"),
     (["flow", "--t-end", "3"], "sample_flow at t = 0.9"),
     (["flow", "--t-end", "3", "--method", "rk4", "--steps", "100"],
-     "integrate_flow at t = 2.2199999999999998"),
+     "integrate_flow at t = 2.22"),
     (["flow", "--t-end", "3", "--method", "rk4", "--steps", "1000"], "integrate_flow at t = 0.927"),
     (["bracket", "--h", "1"], "numeric_bracket at t = +/-1.0"),
 ])

@@ -249,8 +249,8 @@ def test_integrate_flow_matches_stepping_the_matrices(name, dim, steps, norm, se
         x = x * (norm / qk.max_abs(x))
     y = r.sample(rng)
     traj = qk.integrate_flow(r, x, y, t_end=1.0, steps=steps)
-    times, points = oracle_integrate_flow(r, x, y, 1.0, steps)
-    assert traj.times == times
+    _, points = oracle_integrate_flow(r, x, y, 1.0, steps)
+    assert traj.times == qk.sample_flow(r, x, y, t_end=1.0, steps=steps).times
     assert traj.points[0] is y
     points = np.array(points)
     # S row by row: one oracle step from each basis matrix.
@@ -295,6 +295,7 @@ EZ3 = np.array([0.0, 0.0, 1.0])
     ({"steps": True}, "steps must be an integer, got True"),
     ({"t_end": math.inf}, "t_end must be finite, got inf"),
     ({"t_end": "1"}, "t_end must be a number, got '1'"),
+    ({"t_end": 1e308, "steps": 2}, "t_end * steps overflows: t_end 1e+308, steps 2"),
 ])
 @pytest.mark.parametrize("flow", [qk.integrate_flow, qk.sample_flow])
 def test_flows_refuse_coerced_parameters(flow, changes, error):
@@ -361,6 +362,18 @@ def test_sample_flow_refuses_a_grid_that_overflows(r):
     assert qk.sample_flow(r, EZ3, EZ3, t_end=1e308, steps=1).times == (0.0, 1e308)
 
 
+@pytest.mark.parametrize("t_end, steps", [(1.0, 100), (1.5, 4), (3.0, 7), (0.3, 1000)])
+def test_both_flows_report_the_same_times(t_end, steps):
+    # Both report k * t_end / steps; k * (t_end / steps) reads 0.35000000000000003
+    # for 0.35 at (1.0, 100).
+    r = qk.matrix_hermitian(2)
+    rng = np.random.default_rng(14)
+    x, y = r.sample(rng), r.sample(rng)
+    rk4 = qk.integrate_flow(r, x, y, t_end, steps).times
+    assert rk4 == qk.sample_flow(r, x, y, t_end, steps).times
+    assert rk4 == tuple(k * t_end / steps for k in range(steps + 1))
+
+
 # Where an op or a numpy reports no FP flag, a non-finite result is still
 # refused after the fact, with the time it first shows at.
 X2, Y2 = np.array([1.0, 0.0]), np.array([0.0, 1.0])
@@ -388,7 +401,7 @@ def test_numeric_bracket_refuses_a_non_finite_quotient():
         qk.numeric_bracket(infinite_from(0.0), X2, Y2, h=1e-3)
 
 
-@pytest.mark.parametrize("steps, t", [(100, 2.2199999999999998), (1000, 0.927)])
+@pytest.mark.parametrize("steps, t", [(100, 2.22), (1000, 0.927)])
 def test_integrate_flow_refuses_overflow_without_fp_flags(monkeypatch, steps, t):
     # As on a numpy whose matmul reports no FP flags: the backstop names the
     # time that the overflow flag names where matmul does report it.
