@@ -14,6 +14,8 @@ import argparse
 import json
 import sys
 
+import numpy as np
+
 from . import finite
 from .linalg import matrix_from_json, spectrum
 from .realizations import REALIZATION_NAMES, make_realization
@@ -59,7 +61,7 @@ def _parse_spectrum(text: str) -> list[float]:
 
 def _realization_from_args(args):
     eigenvalues = None
-    if getattr(args, "spectrum", None):
+    if args.spectrum is not None:
         eigenvalues = _parse_spectrum(args.spectrum)
     elif args.realization == "fixed-spectrum" and getattr(args, "x", None):
         # Infer the carrier's spectrum from the supplied element.
@@ -73,8 +75,22 @@ def _realization_from_args(args):
     )
 
 
-def _load_pair(r, args):
-    return r.decode(_load_json(args.x)), r.decode(_load_json(args.y))
+def _load_pair(args):
+    r = _realization_from_args(args)
+    return r, r.decode(_load_json(args.x)), r.decode(_load_json(args.y))
+
+
+def _finite(what: str, compute):
+    """``compute()``, refused by an ``ArithmeticError`` naming ``what`` if it
+    overflows or is not finite (a matmul need not set an FP flag)."""
+    try:
+        with np.errstate(over="raise", invalid="raise"):
+            value = compute()
+    except ArithmeticError as exc:
+        raise ArithmeticError(f"{what}: {exc}") from exc
+    if not np.isfinite(value).all():
+        raise ArithmeticError(f"{what}: non-finite result")
+    return value
 
 
 def cmd_classify(args) -> int:
@@ -142,8 +158,7 @@ def cmd_noether(args) -> int:
 
 
 def cmd_flow(args) -> int:
-    r = _realization_from_args(args)
-    x, y = _load_pair(r, args)
+    r, x, y = _load_pair(args)
     flow = integrate_flow if args.method == "rk4" else sample_flow
     traj = flow(r, x, y, args.t_end, args.steps)
     write_trajectory_csv(traj, r, sys.stdout)
@@ -152,12 +167,11 @@ def cmd_flow(args) -> int:
 
 
 def cmd_bracket(args) -> int:
-    r = _realization_from_args(args)
-    x, y = _load_pair(r, args)
+    r, x, y = _load_pair(args)
     numeric = numeric_bracket(r, x, y, args.h)
     # Every realization numeric_bracket accepts has an analytic bracket.
-    analytic = r.analytic_bracket(x, y)
-    discrepancy = float(r.metric(numeric, analytic))
+    analytic = _finite("analytic bracket", lambda: r.analytic_bracket(x, y))
+    discrepancy = float(_finite("discrepancy", lambda: r.metric(numeric, analytic)))
     _say(f"{r.name}: bracket discrepancy {discrepancy:.3e} at h={args.h:g}")
     _emit({
         "realization": r.name,
@@ -239,7 +253,7 @@ def main(argv=None) -> int:
     try:
         return args.func(args)
     except (ValueError, ArithmeticError, OSError, MemoryError, json.JSONDecodeError) as exc:
-        _say(f"error: {exc}")
+        _say(f"error: {str(exc) or type(exc).__name__}")
         return 2
 
 

@@ -21,6 +21,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import quandlekit as qk
+from quandlekit import cli, verify
 from quandlekit.cli import main
 
 CYCLIC3 = {"order": 3, "table": [[0, 2, 1], [2, 1, 0], [1, 0, 2]]}
@@ -230,6 +231,14 @@ def test_out_of_range_real_flags_exit_two(capsys, argv, error):
     assert err.splitlines() == [f"error: {error}"]
 
 
+@pytest.mark.parametrize("realization", ["fixed-spectrum", "bloch"])
+def test_empty_spectrum_exits_two(capsys, realization):
+    # An empty --spectrum lists no eigenvalue, as "," does; it ran the default.
+    code, out, err = run_cli(capsys, "verify", "--realization", realization,
+                             "--samples", "10", "--spectrum", "")
+    assert (code, out, err) == (2, "", "error: spectrum must list at least one eigenvalue\n")
+
+
 def test_unallocatable_size_exits_two(capsys):
     # numpy refuses an array this large at once, without allocating it.
     code, out, err = run_cli(capsys, "noether", "--realization", "bloch", "--pairs", "1",
@@ -384,6 +393,60 @@ def test_overflow_prints_only_the_error_line(tmp_path, argv, stage):
     assert proc.stdout == ""
     [line] = proc.stderr.splitlines()
     assert line.startswith(f"error: {stage}: overflow encountered in ")
+
+
+# Inputs whose bracket is computed before its numbers overflow: the convex
+# discrepancy's dot product printed Infinity under exit 0, and the Hermitian
+# commutator printed nan, then an error naming the JSON encoder.
+BRACKET_OVERFLOW = [
+    (["--realization", "convex-flow", "--dim", "3"], [1e200, 0.0, 0.0], [0.0, 1e200, 0.0],
+     "discrepancy"),
+    (["--realization", "matrix-hermitian"],
+     {"dim": 2, "re": [[1e200, 3e199], [3e199, -1e200]], "im": [[0.0, 2e199], [-2e199, 0.0]]},
+     {"dim": 2, "re": [[0.0, 1e200], [1e200, 0.0]], "im": [[0.0, 0.0], [0.0, 0.0]]},
+     "analytic bracket"),
+]
+
+
+@pytest.mark.parametrize("argv, x, y, stage", BRACKET_OVERFLOW)
+def test_bracket_overflow_exits_two(capsys, tmp_path, argv, x, y, stage):
+    x, y = write_json(tmp_path / "x.json", x), write_json(tmp_path / "y.json", y)
+    code, out, err = run_cli(capsys, "bracket", *argv, "--x", x, "--y", y)
+    assert (code, out) == (2, "")
+    [line] = err.splitlines()
+    assert line == f"error: {stage}: overflow encountered in matmul"
+    assert "non-finite entries" not in err
+
+
+def test_bracket_overflow_leaks_no_numpy_warning(tmp_path):
+    for argv, x, y, stage in BRACKET_OVERFLOW:
+        x, y = write_json(tmp_path / "x.json", x), write_json(tmp_path / "y.json", y)
+        proc = subprocess.run(
+            [sys.executable, "-m", "quandlekit.cli", "bracket", *argv, "--x", x, "--y", y],
+            capture_output=True, text=True, timeout=60,
+        )
+        assert (proc.returncode, proc.stdout) == (2, "")
+        assert "Warning" not in proc.stderr
+        [line] = proc.stderr.splitlines()
+        assert line.startswith(f"error: {stage}: ")
+
+
+def test_bracket_refuses_a_non_finite_result_without_fp_flags():
+    # Where a numpy build's matmul sets no FP flag, the result itself is checked.
+    with pytest.raises(ArithmeticError, match=r"^discrepancy: non-finite result$"):
+        cli._finite("discrepancy", lambda: np.array([1.0, math.inf]))
+
+
+def test_empty_error_message_names_the_exception(capsys, monkeypatch, tmp_path):
+    # A bare MemoryError, as a list too large for the address space raises.
+    def no_memory(t_end, steps):
+        raise MemoryError()
+
+    monkeypatch.setattr(verify, "_grid", no_memory)
+    x = write_json(tmp_path / "x.json", [1.0, 0.0, 0.0])
+    y = write_json(tmp_path / "y.json", [0.0, 1.0, 0.0])
+    code, out, err = run_cli(capsys, "flow", "--realization", "bloch", "--x", x, "--y", y)
+    assert (code, out, err) == (2, "", "error: MemoryError\n")
 
 
 def test_flow_refuses_coerced_vector(capsys, tmp_path):

@@ -705,6 +705,20 @@ def test_skew_op_keeps_the_verdicts_of_the_expm_oracle(monkeypatch, factory):
             assert abs(a.max_residual - b.max_residual) <= 1e-12
 
 
+def test_fixed_spectrum_scores_a_non_finite_op_output_inf(monkeypatch):
+    # The closure check refuses a non-finite output with an ArithmeticError, so
+    # the members that break down score inf, as any other op's breakdown does;
+    # it once escaped verify_axioms as a ValueError.
+    skew = realizations.op_matrix_skew
+
+    def breaks_late(x, t, y):
+        return np.where((np.asarray(t) > 2.5)[..., None, None], np.nan, skew(x, t, y))
+
+    monkeypatch.setattr(realizations, "op_matrix_skew", breaks_late)
+    reports = qk.verify_axioms(qk.fixed_spectrum([1, 2, 3]), 40, seed=1)
+    assert [(rep.max_residual, rep.passed) for rep in reports] == [(math.inf, False)] * 4
+
+
 @pytest.mark.parametrize("name", ["matrix-hermitian(3)", "fixed-spectrum(1,2,3)"])
 @pytest.mark.parametrize("t_max", [1e9, 1e12])
 def test_noether_control_holds_at_huge_t_max(name, t_max):
