@@ -223,20 +223,17 @@ def test_noether_modes_disagreeing_exits_one(capsys):
     (["verify", "--realization", "fixed-spectrum", "--dim=-2"], "dim must be in [1, 16], got -2"),
     (["verify", "--realization", "fixed-spectrum", "--dim", "1000000000000000"],
      "dim must be in [1, 16], got 1000000000000000"),
+    # An empty --spectrum lists no eigenvalue, as "," does.
+    (["verify", "--realization", "fixed-spectrum", "--spectrum", ""],
+     "spectrum must list at least one eigenvalue"),
+    (["verify", "--realization", "bloch", "--spectrum", ""],
+     "spectrum must list at least one eigenvalue"),
 ])
 def test_out_of_range_real_flags_exit_two(capsys, argv, error):
     code, out, err = run_cli(capsys, *argv)
     assert code == 2
     assert out == ""
     assert err.splitlines() == [f"error: {error}"]
-
-
-@pytest.mark.parametrize("realization", ["fixed-spectrum", "bloch"])
-def test_empty_spectrum_exits_two(capsys, realization):
-    # An empty --spectrum lists no eigenvalue, as "," does; it ran the default.
-    code, out, err = run_cli(capsys, "verify", "--realization", realization,
-                             "--samples", "10", "--spectrum", "")
-    assert (code, out, err) == (2, "", "error: spectrum must list at least one eigenvalue\n")
 
 
 def test_unallocatable_size_exits_two(capsys):
@@ -395,9 +392,8 @@ def test_overflow_prints_only_the_error_line(tmp_path, argv, stage):
     assert line.startswith(f"error: {stage}: overflow encountered in ")
 
 
-# Inputs whose bracket is computed before its numbers overflow: the convex
-# discrepancy's dot product printed Infinity under exit 0, and the Hermitian
-# commutator printed nan, then an error naming the JSON encoder.
+# Inputs whose numeric bracket is finite while a later number overflows: the
+# discrepancy's dot product (convex) or the analytic commutator (Hermitian).
 BRACKET_OVERFLOW = [
     (["--realization", "convex-flow", "--dim", "3"], [1e200, 0.0, 0.0], [0.0, 1e200, 0.0],
      "discrepancy"),

@@ -707,8 +707,7 @@ def test_skew_op_keeps_the_verdicts_of_the_expm_oracle(monkeypatch, factory):
 
 def test_fixed_spectrum_scores_a_non_finite_op_output_inf(monkeypatch):
     # The closure check refuses a non-finite output with an ArithmeticError, so
-    # the members that break down score inf, as any other op's breakdown does;
-    # it once escaped verify_axioms as a ValueError.
+    # the members that break down score inf, as any other op's breakdown does.
     skew = realizations.op_matrix_skew
 
     def breaks_late(x, t, y):
