@@ -11,10 +11,9 @@ error.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
-
-import numpy as np
 
 from . import finite
 from .linalg import matrix_from_json, spectrum
@@ -27,6 +26,7 @@ from .verify import (
     NOETHER_GRID,
     NOETHER_TOL,
     PARAM_RANGE,
+    _finite,
     integrate_flow,
     noether_suite,
     numeric_bracket,
@@ -59,13 +59,13 @@ def _parse_spectrum(text: str) -> list[float]:
     return values
 
 
-def _realization_from_args(args):
+def _realization_from_args(args, x=None):
     eigenvalues = None
     if args.spectrum is not None:
         eigenvalues = _parse_spectrum(args.spectrum)
-    elif args.realization == "fixed-spectrum" and getattr(args, "x", None):
-        # Infer the carrier's spectrum from the supplied element.
-        eigenvalues = spectrum(matrix_from_json(_load_json(args.x))).tolist()
+    elif args.realization == "fixed-spectrum" and x is not None:
+        # Infer the carrier's spectrum from the supplied element's JSON, x().
+        eigenvalues = spectrum(matrix_from_json(x())).tolist()
     return make_realization(
         args.realization,
         dim=args.dim,
@@ -76,21 +76,9 @@ def _realization_from_args(args):
 
 
 def _load_pair(args):
-    r = _realization_from_args(args)
-    return r, r.decode(_load_json(args.x)), r.decode(_load_json(args.y))
-
-
-def _finite(what: str, compute):
-    """``compute()``, refused by an ``ArithmeticError`` naming ``what`` if it
-    overflows or is not finite (a matmul need not set an FP flag)."""
-    try:
-        with np.errstate(over="raise", invalid="raise"):
-            value = compute()
-    except ArithmeticError as exc:
-        raise ArithmeticError(f"{what}: {exc}") from exc
-    if not np.isfinite(value).all():
-        raise ArithmeticError(f"{what}: non-finite result")
-    return value
+    x = functools.cache(lambda: _load_json(args.x))  # read once, after the flags are checked
+    r = _realization_from_args(args, x)
+    return r, r.decode(x()), r.decode(_load_json(args.y))
 
 
 def cmd_classify(args) -> int:

@@ -415,13 +415,17 @@ def fixed_spectrum(eigenvalues) -> Realization:
     herm = matrix_hermitian(spec.size)
     base = np.diag(spec.astype(np.complex128))
 
-    def check(a: np.ndarray) -> np.ndarray:
+    def check(a: np.ndarray, decoded: bool = False) -> np.ndarray:
         n = a.shape[-1]
         if n != spec.size:
             raise ValueError(f"a {n}x{n} matrix cannot carry {spec.size} eigenvalues")
         if not np.isfinite(a).all():  # the one require_hermitian check a hermitized a can fail
             raise ArithmeticError("matrix has non-finite entries")
-        drift = float(np.max(np.abs(np.linalg.eigvalsh(a) - spec)))
+        found = np.linalg.eigvalsh(a)
+        drift = float(np.max(np.abs(found - spec)))
+        if drift > SPECTRUM_TOL and decoded:  # an input never moved, so it cannot have drifted
+            raise ValueError(f"matrix has spectrum {np.round(found, 9).tolist()},"
+                             f" not the carrier's {spec.tolist()}")
         if drift > SPECTRUM_TOL:
             raise ArithmeticError(
                 f"spectrum drifted by {drift:.3e} (tolerance {SPECTRUM_TOL:.0e})"
@@ -434,7 +438,7 @@ def fixed_spectrum(eigenvalues) -> Realization:
         carrier=f"Hermitian {spec.size}x{spec.size} matrices with spectrum {spec.tolist()}",
         op=lambda x, t, y: check(hermitize(herm.op(x, t, y))),
         **_on_units(herm.units[0], lambda u: hermitize(herm.op(herm.units[1](u), 1.0, base))),
-        decode=lambda obj: check(herm.decode(obj)),
+        decode=lambda obj: check(herm.decode(obj), decoded=True),
         params={"spectrum": [float(v) for v in spec]},
     )
 

@@ -6,7 +6,8 @@ deterministic given both.  Residuals are measured in the realization's own
 metric, and a sample that overflows or raises inside the operation is scored
 as an infinite residual rather than an exception.  The engines that return
 points (flows and brackets) instead refuse to return a non-finite one: they
-raise an ``ArithmeticError`` naming the engine and the time t.
+raise an ``ArithmeticError`` naming the engine and the time t.  One guard,
+`_finite`, states that rule, and the CLI's bracket numbers follow it too.
 """
 
 from __future__ import annotations
@@ -229,11 +230,17 @@ def verify_axioms(
             for name, (res, case) in worst.items()]
 
 
-def _check_finite(engine: str, times, flow) -> None:
-    """Raise an ``ArithmeticError`` naming the first time whose point is non-finite."""
-    ok = np.isfinite(flow).reshape(len(times), -1).all(axis=1)
-    if not ok.all():
-        raise ArithmeticError(f"{engine} at t = {times[int(np.argmin(ok))]}: non-finite result")
+def _finite(what: str, compute):
+    """``compute()``, refused by an ``ArithmeticError`` naming ``what`` if it
+    overflows or is not finite (a matmul need not set an FP flag)."""
+    try:
+        with np.errstate(over="raise", invalid="raise"):
+            value = compute()
+    except ArithmeticError as exc:
+        raise ArithmeticError(f"{what}: {exc}") from exc
+    if not np.isfinite(value).all():
+        raise ArithmeticError(f"{what}: non-finite result")
+    return value
 
 
 def numeric_bracket(r: Realization, x, y, h: float = DEFAULT_STEP):
@@ -246,14 +253,8 @@ def numeric_bracket(r: Realization, x, y, h: float = DEFAULT_STEP):
         raise ValueError(f"{r.name} has no time parameter to differentiate")
     if not r.vector_carrier:
         raise ValueError(f"{r.name} elements do not support difference quotients")
-    try:
-        with np.errstate(over="raise", invalid="raise"):
-            plus, minus = r.op(x, np.array([h, -h]), y)
-            quotient = (plus - minus) / (2.0 * h)
-    except ArithmeticError as exc:
-        raise ArithmeticError(f"numeric_bracket at t = +/-{h!r}: {exc}") from exc
-    _check_finite("numeric_bracket", [f"+/-{h!r}"], quotient[None])
-    return quotient
+    return _finite(f"numeric_bracket at t = +/-{h!r}",
+                   lambda: np.subtract(*r.op(x, np.array([h, -h]), y)) / (2.0 * h))
 
 
 def _grid(t_end, steps) -> list:
@@ -302,7 +303,9 @@ def integrate_flow(r: Realization, x, y, t_end: float, steps: int) -> Trajectory
         except FloatingPointError as exc:
             raise ArithmeticError(f"integrate_flow at t = {times[k]!r}: {exc}") from exc
     # Where a numpy does not report FP flags from matmul, inf still stops here.
-    _check_finite("integrate_flow", times, out)
+    ok = np.isfinite(out).all(axis=1)
+    if not ok.all():
+        raise ArithmeticError(f"integrate_flow at t = {times[int(np.argmin(ok))]}: non-finite result")
     return Trajectory(tuple(times), (start, *out[1:].reshape(-1, *start.shape)), r.name, x, y)
 
 
@@ -311,20 +314,13 @@ def sample_flow(r: Realization, x, y, t_end: float, steps: int) -> Trajectory:
     if not r.family:
         raise ValueError(f"{r.name} has no time parameter to flow along")
     times = _grid(t_end, steps)
-    with np.errstate(over="raise", invalid="raise"):
-        try:
-            flow = r.op(x, np.array(times[1:]), y)
-        except ArithmeticError as exc:
-            # One bad t fails the whole batch; name the first one.
-            for t in times[1:]:
-                try:
-                    point = r.op(x, t, y)
-                except ArithmeticError as point_exc:
-                    raise ArithmeticError(f"sample_flow at t = {t!r}: {point_exc}") from exc
-                _check_finite("sample_flow", [t], point)
-            raise ArithmeticError(
-                f"sample_flow at t in [{times[1]!r}, {float(t_end)!r}]: {exc}") from exc
-    _check_finite("sample_flow", times[1:], flow)
+    try:
+        flow = _finite(f"sample_flow at t in [{times[1]!r}, {float(t_end)!r}]",
+                       lambda: r.op(x, np.array(times[1:]), y))
+    except ArithmeticError:
+        for t in times[1:]:  # one bad t fails the whole batch; name the first one
+            _finite(f"sample_flow at t = {t!r}", lambda: r.op(x, t, y))
+        raise
     return Trajectory(tuple(times), (y, *flow), r.name, x, y)
 
 

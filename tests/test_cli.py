@@ -339,6 +339,39 @@ def test_fixed_spectrum_of_another_size_names_both_sizes(capsys, tmp_path, comma
     assert (code, out, err) == (2, "", "error: a 3x3 matrix cannot carry 2 eigenvalues\n")
 
 
+@pytest.mark.parametrize("command", ["flow", "bracket"])
+def test_inferred_spectrum_reads_each_file_once(capsys, monkeypatch, tmp_path, command):
+    x = write_json(tmp_path / "x.json", qk.matrix_to_json(np.diag([0.0, 1.0]).astype(complex)))
+    y = write_json(tmp_path / "y.json",
+                   qk.matrix_to_json(np.array([[0.5, 0.5], [0.5, 0.5]], dtype=complex)))
+    reads, load = [], cli._load_json
+    monkeypatch.setattr(cli, "_load_json", lambda path: reads.append(path) or load(path))
+    code, _, _ = run_cli(capsys, command, "--realization", "fixed-spectrum", "--x", x, "--y", y)
+    assert (code, reads) == (0, [x, y])
+
+
+@pytest.mark.parametrize("flags, error", [
+    (["--realization", "matrix-general", "--dim", "0"], "error: dim must be in [1, "),
+    (["--realization", "fixed-spectrum", "--spectrum", "a"], "error: bad spectrum 'a': "),
+    (["--realization", "fixed-spectrum", "--spectrum", "1,1"], "error: eigenvalue gaps must be"),
+])
+def test_a_bad_flag_is_named_before_a_missing_file(capsys, tmp_path, flags, error):
+    missing = str(tmp_path / "missing.json")
+    for command in ("flow", "bracket"):
+        code, out, err = run_cli(capsys, command, *flags, "--x", missing, "--y", missing)
+        assert (code, out) == (2, "") and err.startswith(error)
+
+
+@pytest.mark.parametrize("command", ["flow", "bracket"])
+def test_fixed_spectrum_input_off_the_spectrum_names_both_spectra(capsys, tmp_path, command):
+    # y never moved, so it did not drift: it does not carry x's spectrum.
+    x = write_json(tmp_path / "x.json", qk.matrix_to_json(np.diag([1.0, 2.0]).astype(complex)))
+    y = write_json(tmp_path / "y.json", qk.matrix_to_json(qk.PAULI_X))
+    code, out, err = run_cli(capsys, command, "--realization", "fixed-spectrum", "--x", x, "--y", y)
+    assert (code, out) == (2, "")
+    assert err == "error: matrix has spectrum [-1.0, 1.0], not the carrier's [1.0, 2.0]\n"
+
+
 def test_bracket_union_unsupported(capsys, tmp_path):
     a = write_json(tmp_path / "a.json", {"part": "algebra", "value": 1.0})
     code, _, err = run_cli(capsys, "bracket", "--realization", "union",

@@ -307,6 +307,16 @@ def test_fixed_spectrum_rejects_drift():
         r.op(wrong, 0.3, wrong)
 
 
+def test_fixed_spectrum_decode_names_both_spectra_and_op_names_the_drift():
+    r = qk.fixed_spectrum([1.0, 2.0])
+    wrong = np.diag([1.0, 2.5]).astype(complex)
+    with pytest.raises(ValueError, match=re.escape(
+            "matrix has spectrum [1.0, 2.5], not the carrier's [1.0, 2.0]")):
+        r.decode(qk.matrix_to_json(wrong))
+    with pytest.raises(ArithmeticError, match=r"^spectrum drifted by 5\.000e-01 "):
+        r.op(wrong, 0.3, wrong)
+
+
 def test_fixed_spectrum_factory_validation():
     with pytest.raises(ValueError):
         qk.fixed_spectrum([1.0, 1.0 + 1e-9])  # gap below threshold

@@ -15,7 +15,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import quandlekit as qk
-from quandlekit import realizations
+from quandlekit import realizations, verify
 from test_linalg import oracle_skew
 
 
@@ -646,6 +646,22 @@ def test_noether_check_validation():
         qk.noether_check(r, qk.PAULI_X, qk.PAULI_Z, t_max=math.inf)
     with pytest.raises(ValueError, match="t_samples must be an integer, got 41.0"):
         qk.noether_check(r, qk.PAULI_X, qk.PAULI_Z, t_samples=41.0)
+
+
+@pytest.mark.parametrize("bad, error", [
+    ({"t_max": math.nan}, "t_max must be positive"),
+    ({"t_max": math.inf}, "t_max must be finite"),
+    ({"tol": math.nan}, "tol must be >= 0"),
+    ({"t_samples": 1}, "t_samples must be >= 2"),
+])
+def test_noether_suite_checks_its_arguments_before_drawing(monkeypatch, bad, error):
+    # A billion pairs could not be drawn in time: the arguments are refused first.
+    def draw(*args):
+        raise AssertionError("an element was drawn before the arguments were checked")
+
+    monkeypatch.setattr(verify, "_draw", draw)
+    with pytest.raises(ValueError, match=error):
+        qk.noether_suite(qk.bloch(), pairs=10**9, **bad)
 
 
 def test_noether_suite_consistent_realization():
