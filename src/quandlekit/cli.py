@@ -60,19 +60,23 @@ def _parse_spectrum(text: str) -> list[float]:
 
 
 def _realization_from_args(args, x=None):
-    eigenvalues = None
+    eigenvalues, inferred = None, ""
     if args.spectrum is not None:
         eigenvalues = _parse_spectrum(args.spectrum)
     elif args.realization == "fixed-spectrum" and x is not None:
         # Infer the carrier's spectrum from the supplied element's JSON, x().
         eigenvalues = spectrum(matrix_from_json(x())).tolist()
-    return make_realization(
-        args.realization,
-        dim=args.dim,
-        bias=args.bias,
-        body=args.body,
-        eigenvalues=eigenvalues,
-    )
+        inferred = f"spectrum {eigenvalues} inferred from --x: "
+    try:
+        return make_realization(
+            args.realization,
+            dim=args.dim,
+            bias=args.bias,
+            body=args.body,
+            eigenvalues=eigenvalues,
+        )
+    except ValueError as exc:  # name an inferred spectrum that the factory refuses
+        raise ValueError(inferred + str(exc)) if inferred else exc
 
 
 def _load_pair(args):
@@ -161,6 +165,8 @@ def cmd_bracket(args) -> int:
     analytic = _finite("analytic bracket", lambda: r.analytic_bracket(x, y))
     discrepancy = float(_finite("discrepancy", lambda: r.metric(numeric, analytic)))
     _say(f"{r.name}: bracket discrepancy {discrepancy:.3e} at h={args.h:g}")
+    if not numeric.any() and analytic.any():  # not a norm, which can overflow on a finite bracket
+        _say(f"{r.name}: numeric bracket is 0 at h={args.h:g}: x acting on y for +/-h rounds to one point")
     _emit({
         "realization": r.name,
         "h": args.h,

@@ -386,33 +386,25 @@ def _permutation_stack(m: int) -> np.ndarray:
 def canonical_form(m: MagmaTable) -> Table:
     """Lexicographically least table among all relabelings.
 
-    Every one of the n! relabelings is tried, block by block: each relabeled
-    table is packed row-major into base-n int64 words, so one lexsort per
-    block finds that block's least table.
+    Every one of the n! relabelings is tried, block by block.  The labels are
+    big-endian unsigned ints (`_relabelings` keeps the permutations' dtype), so
+    a relabeled table read row-major as one byte string sorts as the table does.
     """
     n = m.order
     table = np.array(m.table, dtype=np.min_scalar_type(n))
     free = min(n, _FREE_LABELS)
     stack = _permutation_stack(free)
-    # The most base-n digits one non-negative int64 holds.
-    digits = min(n * n, max(d for d in range(1, n * n + 1) if n ** d <= 2 ** 63))
-    words = -(-n * n // digits)
-    weights = np.array([n ** e for e in range(digits - 1, -1, -1)], dtype=np.int64)
-    perm = np.empty((len(stack), n), dtype=np.intp)
-    # Zero-padded to whole words; a common padding leaves the order unchanged.
-    relabeled = np.zeros((len(stack), words * digits), dtype=np.int64)
-    best_key, best = None, None
+    perm = np.empty((len(stack), n), dtype=np.dtype(np.min_scalar_type(n - 1)).newbyteorder(">"))
+    best = None
     for prefix in permutations(range(n), n - free):
         rest = sorted(set(range(n)) - set(prefix))
         perm[:, : n - free] = prefix
         perm[:, n - free :] = np.asarray(rest, dtype=np.intp)[stack]
-        relabeled[:, : n * n] = _relabelings(table, perm)
-        codes = relabeled.reshape(len(stack), words, digits) @ weights
-        k = np.lexsort(codes.T[::-1])[0]
-        key = codes[k].tolist()
-        if best_key is None or key < best_key:
-            best_key, best = key, relabeled[k, : n * n].reshape(n, n).tolist()
-    return tuple(map(tuple, best))
+        relabeled = _relabelings(table, perm)
+        least = relabeled[relabeled.view(f"S{relabeled[0].nbytes}").argmin()]
+        if best is None or least.tobytes() < best.tobytes():
+            best = least
+    return tuple(map(tuple, best.reshape(n, n).tolist()))
 
 
 def _search(order: int, kind: str) -> list[Table]:

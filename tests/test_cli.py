@@ -372,6 +372,35 @@ def test_fixed_spectrum_input_off_the_spectrum_names_both_spectra(capsys, tmp_pa
     assert err == "error: matrix has spectrum [-1.0, 1.0], not the carrier's [1.0, 2.0]\n"
 
 
+@pytest.mark.parametrize("command", ["flow", "bracket"])
+def test_refused_inferred_spectrum_is_named_with_its_source(capsys, tmp_path, command):
+    eye = write_json(tmp_path / "eye.json", qk.matrix_to_json(np.eye(2, dtype=complex)))
+    code, out, err = run_cli(capsys, command, "--realization", "fixed-spectrum", "--x", eye, "--y", eye)
+    assert (code, out) == (2, "")
+    assert err == "error: spectrum [1.0, 1.0] inferred from --x: eigenvalue gaps must be >= 1e-06\n"
+    # an explicit --spectrum is named by the user, so its line stays as it was
+    code, out, err = run_cli(capsys, command, "--realization", "fixed-spectrum", "--spectrum", "1,1",
+                             "--x", eye, "--y", eye)
+    assert (code, out, err) == (2, "", "error: eigenvalue gaps must be >= 1e-06\n")
+
+
+NOTE = "bloch: numeric bracket is 0 at h=1e-300: x acting on y for +/-h rounds to one point"
+
+
+@pytest.mark.parametrize("argv, x, y, noted", [
+    (["--realization", "bloch", "--h", "1e-300"], [0.0, 0.0, 1.0], [0.6, 0.8, 0.0], True),
+    # x = y: both brackets are 0, an exact answer with nothing to flag
+    (["--realization", "bloch", "--h", "1e-300"], [0.0, 0.0, 1.0], [0.0, 0.0, 1.0], False),
+    # a finite bracket too large to take the norm of is not all zero either
+    (["--realization", "convex-flow", "--dim", "3"], [1e160, 0.0, 0.0], [0.0, 1e160, 0.0], False),
+])
+def test_bracket_flags_a_numeric_bracket_lost_to_cancellation(capsys, tmp_path, argv, x, y, noted):
+    x, y = write_json(tmp_path / "x.json", x), write_json(tmp_path / "y.json", y)
+    code, out, err = run_cli(capsys, "bracket", *argv, "--x", x, "--y", y)
+    assert code == 0 and json.loads(out)["realization"] == argv[1]
+    assert (NOTE in err.splitlines()) is noted and len(err.splitlines()) == 1 + noted
+
+
 def test_bracket_union_unsupported(capsys, tmp_path):
     a = write_json(tmp_path / "a.json", {"part": "algebra", "value": 1.0})
     code, _, err = run_cli(capsys, "bracket", "--realization", "union",

@@ -847,6 +847,8 @@ def test_canonical_form_matches_oracle_on_small_tables():
     ("conj Z7", qk.conjugation_quandle(qk.cyclic_group(7))),
     ("dihedral 7", dihedral_quandle(7)),
     ("union Z4 on 3", union_z4_on_3()),
+    # order 8: canonical_form's blocks run over two-label prefixes
+    ("dihedral 8", dihedral_quandle(8)),
 ])
 def test_canonical_form_matches_oracle_on_relabelings(name, m):
     rng = np.random.default_rng(7)
