@@ -17,7 +17,7 @@ import sys
 
 from . import finite
 from .linalg import matrix_from_json, spectrum
-from .realizations import REALIZATION_NAMES, make_realization
+from .realizations import CONVEX_BODIES, REALIZATION_NAMES, make_realization
 from .verify import (
     DEFAULT_PAIRS,
     DEFAULT_SAMPLES,
@@ -181,7 +181,7 @@ def _add_realization_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--realization", required=True, choices=REALIZATION_NAMES)
     p.add_argument("--dim", type=int, default=2, help="carrier dimension where applicable")
     p.add_argument("--bias", type=float, default=0.5, help="mixing bias for convex-spindle")
-    p.add_argument("--body", choices=("box", "simplex"), default="box",
+    p.add_argument("--body", choices=CONVEX_BODIES, default="box",
                    help="convex body for convex-spindle")
     p.add_argument("--spectrum", default=None,
                    help="comma-separated eigenvalues for fixed-spectrum")

@@ -23,11 +23,10 @@ from .linalg import _check_int
 Row = tuple[int, ...]
 Table = tuple[Row, ...]
 
-KINDS = ("shelf", "spindle", "quandle")
-
 # Exhaustive-search guards: quandle rows are permutations fixing their own
 # index ((n-1)! each), anything weaker explodes as n**(n*n).
 MAX_ORDER = {"shelf": 3, "spindle": 3, "quandle": 5}
+KINDS = tuple(MAX_ORDER)
 
 
 def _freeze_row(i: int, row, what: str) -> Row:

@@ -124,12 +124,15 @@ def expm(x) -> np.ndarray:
 def conjugate_by_exp(x, t, y) -> np.ndarray:
     """e^{tX} Y e^{-tX} from one `expm` evaluation: r(-a) = (V + U)⁻¹(V - U) is solved
     in the same call, and as negation is exact, e^{-tX} is bitwise ``expm(-t * x)``.
-    Leading axes of x, t and y broadcast numpy-style, as in a `Realization` op."""
+    Leading axes of x, t and y broadcast numpy-style, as in a `Realization` op.
+    Raises ``FloatingPointError`` where t·X or the product e^{tX} Y e^{-tX}
+    overflows, and ``OverflowError`` where e^{±tX} does."""
     x, y = _operands(x, y)
     with np.errstate(over="raise"):
         tx = np.asarray(t)[..., None, None] * x
     pair = _expm_pair(tx)
-    return pair[0] @ y @ pair[1]
+    with np.errstate(over="raise", invalid="raise"):
+        return pair[0] @ y @ pair[1]
 
 
 def eigh(a) -> tuple[np.ndarray, np.ndarray]:

@@ -42,6 +42,8 @@ SPECTRUM_TOL = 1e-8
 SPECTRUM_GAP = 1e-6
 #: How closely a sphere point must sit on the unit sphere.
 UNIT_TOL = 1e-12
+#: The convex bodies that `convex_spindle` mixes on.
+CONVEX_BODIES = ("box", "simplex")
 
 @dataclass(frozen=True)
 class Realization:
@@ -381,8 +383,8 @@ def convex_spindle(bias: float = 0.5, dim: int = 3, body: str = "box") -> Realiz
     if not 0.0 <= bias <= 1.0:
         raise ValueError(f"bias must lie in [0, 1], got {bias}")
     dim = _check_int(dim, "dim", 1, MAX_DIM)
-    if body not in ("box", "simplex"):
-        raise ValueError(f"body must be 'box' or 'simplex', got {body!r}")
+    if body not in CONVEX_BODIES:
+        raise ValueError(f"body must be {' or '.join(map(repr, CONVEX_BODIES))}, got {body!r}")
 
     def op(x, t, y):
         return _fixed_flow(t, (1.0 - bias) * x + bias * y)

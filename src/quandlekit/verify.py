@@ -211,6 +211,7 @@ def verify_axioms(
     call per term and block, keeping only the worst so far (flat memory).
     """
     samples = _check_int(samples, "samples", 1)
+    seed = _check_int(seed, "seed", 0)
     tolerance = r.default_tolerance if tol is None else _check_real(tol, "tol", allow_zero=True)
     terms = _axiom_terms(r)
     worst = dict.fromkeys(terms, (-math.inf, None))
@@ -249,6 +250,8 @@ def numeric_bracket(r: Realization, x, y, h: float = DEFAULT_STEP):
     Recovers the bracket of the realization's generators up to O(h²).
     """
     h = _check_real(h, "step h")
+    if h > sys.float_info.max / 2:  # the quotient divides by 2h
+        raise ValueError(f"step h must be at most {sys.float_info.max / 2!r}, got {h!r}")
     if not r.family:
         raise ValueError(f"{r.name} has no time parameter to differentiate")
     if not r.vector_carrier:
@@ -419,6 +422,7 @@ def noether_suite(
     pairs are scored together, one op call per direction and block of pairs.
     """
     pairs = _check_int(pairs, "pairs", 1)
+    seed = _check_int(seed, "seed", 0)
     sampled = _noether_scorer(r, "sampled", t_samples, t_max, tol)
     rng = np.random.default_rng(seed)
     # The x = x control, then the pairs (x, y), in the order they are drawn.

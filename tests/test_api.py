@@ -1,5 +1,7 @@
 """The package's public names: exactly the library API, nothing imported along the way."""
 
+import importlib
+import pkgutil
 import types
 
 import quandlekit as qk
@@ -41,3 +43,19 @@ def test_realization_names_keep_cli_order():
         "matrix-hermitian", "matrix-general", "bloch", "convex-flow",
         "convex-spindle", "fixed-spectrum", "union",
     )
+
+
+def test_star_import_binds_exactly_all():
+    namespace = {}
+    exec("from quandlekit import *", namespace)
+    del namespace["__builtins__"]
+    assert set(namespace) == set(qk.__all__)
+
+
+def test_each_public_name_is_one_object_in_every_module():
+    # So the order in which the package reads its modules cannot matter.
+    modules = [importlib.import_module(f"quandlekit.{m.name}")
+               for m in pkgutil.iter_modules(qk.__path__)]
+    for name in qk.__all__:
+        bound = [vars(m)[name] for m in modules if name in vars(m)]
+        assert bound and all(value is getattr(qk, name) for value in bound), name

@@ -167,6 +167,8 @@ FAILED_CONTROL = [
     ["--realization", "fixed-spectrum", "--dim", "3", "--pairs", "1", "--t-max", "8.9e307"],
     # t·X fits, but t·(λ_j − λ_k) does not.
     ["--realization", "matrix-hermitian", "--dim", "3", "--pairs", "1", "--t-max", "8.9e307"],
+    # e^{±tX} fit, but their product with Y does not.
+    ["--realization", "matrix-general", "--pairs", "5", "--t-max", "1000"],
 ]
 
 
@@ -228,6 +230,8 @@ def test_noether_modes_disagreeing_exits_one(capsys):
      "spectrum must list at least one eigenvalue"),
     (["verify", "--realization", "bloch", "--spectrum", ""],
      "spectrum must list at least one eigenvalue"),
+    (["verify", "--realization", "bloch", "--seed=-1"], "seed must be >= 0"),
+    (["noether", "--realization", "bloch", "--seed=-1"], "seed must be >= 0"),
 ])
 def test_out_of_range_real_flags_exit_two(capsys, argv, error):
     code, out, err = run_cli(capsys, *argv)
@@ -399,6 +403,17 @@ def test_bracket_flags_a_numeric_bracket_lost_to_cancellation(capsys, tmp_path, 
     code, out, err = run_cli(capsys, "bracket", *argv, "--x", x, "--y", y)
     assert code == 0 and json.loads(out)["realization"] == argv[1]
     assert (NOTE in err.splitlines()) is noted and len(err.splitlines()) == 1 + noted
+
+
+@pytest.mark.parametrize("h", ["9e307", "1e308"])
+def test_bracket_refuses_a_step_whose_double_overflows(capsys, tmp_path, h):
+    # 2h would round to inf, and the quotient to a numeric bracket of 0.
+    x = write_json(tmp_path / "x.json", [0.0, 0.0, 1.0])
+    y = write_json(tmp_path / "y.json", [0.6, 0.8, 0.0])
+    code, out, err = run_cli(capsys, "bracket", "--realization", "bloch", "--x", x, "--y", y,
+                             "--h", h)
+    assert (code, out) == (2, "")
+    assert err == f"error: step h must be at most 8.988465674311579e+307, got {float(h)!r}\n"
 
 
 def test_bracket_union_unsupported(capsys, tmp_path):

@@ -7,6 +7,7 @@ import io
 import math
 import pickle
 import re
+import sys
 import tracemalloc
 
 import numpy as np
@@ -121,6 +122,13 @@ def test_numeric_bracket_validation():
     a = qk.UnionElement("algebra", 1.0)
     with pytest.raises(ValueError):
         qk.numeric_bracket(u, a, a)
+    largest = sys.float_info.max / 2  # 2h must fit, or the quotient would read 0
+    for h in (9e307, 1e308):
+        error = f"step h must be at most {largest!r}, got {h!r}"
+        with pytest.raises(ValueError, match=f"^{re.escape(error)}$"):
+            qk.numeric_bracket(r, x, y, h)
+    ez, e = np.array([0.0, 0.0, 1.0]), np.array([0.6, 0.8, 0.0])
+    assert np.isfinite(qk.numeric_bracket(qk.bloch(), ez, e, largest)).all()
 
 
 @pytest.mark.parametrize("factory,analytic", [
@@ -662,6 +670,21 @@ def test_noether_suite_checks_its_arguments_before_drawing(monkeypatch, bad, err
     monkeypatch.setattr(verify, "_draw", draw)
     with pytest.raises(ValueError, match=error):
         qk.noether_suite(qk.bloch(), pairs=10**9, **bad)
+
+
+@pytest.mark.parametrize("engine", [qk.verify_axioms, qk.noether_suite])
+@pytest.mark.parametrize("seed, error", [
+    (-1, "seed must be >= 0"),
+    (True, "seed must be an integer, got True"),
+    (1.5, "seed must be an integer, got 1.5"),
+])
+def test_engines_check_the_seed_before_drawing(monkeypatch, engine, seed, error):
+    def draw(*args):
+        raise AssertionError("an element was drawn before the seed was checked")
+
+    monkeypatch.setattr(verify, "_draw", draw)
+    with pytest.raises(ValueError, match=f"^{re.escape(error)}$"):
+        engine(qk.bloch(), 10, seed=seed)
 
 
 def test_noether_suite_consistent_realization():
