@@ -264,7 +264,7 @@ def _on_units(w: Optional[int], finish) -> dict:
 def _sample_unit_sphere(rng: np.random.Generator) -> np.ndarray:
     while True:
         v = rng.normal(size=3)
-        n = float(np.linalg.norm(v))
+        n = math.sqrt(v @ v)
         if n > 1e-3:
             return v / n
 
@@ -293,7 +293,7 @@ def _read_union(unit) -> UnionElement:
         while abs(a := -1.0 + 2.0 * unit()) < 0.05:
             pass
         return tuple.__new__(UnionElement, (0.0, a, 0.0))
-    while float(np.linalg.norm(p := (-1.0 + 2.0 * unit(), -1.0 + 2.0 * unit()))) < 0.05:
+    while math.hypot(*(p := (-1.0 + 2.0 * unit(), -1.0 + 2.0 * unit()))) < 0.05:
         pass
     return tuple.__new__(UnionElement, (1.0, *p))
 

@@ -572,11 +572,43 @@ def counting(r):
 
 @pytest.mark.parametrize("r", ALL_REALIZATIONS, ids=by_name)
 def test_verify_axioms_makes_a_fixed_number_of_op_calls(r):
-    per_run = 11 if r.family else 6   # the op calls in the axioms' terms
-    for samples in (1, 40):
+    for samples in (1, 40):  # one slice: x acts twice, y once and x ▷ y once
         counted, calls = counting(r)
         verify_axioms(counted, samples=samples, seed=1)
-        assert calls[0] == per_run
+        assert calls[0] == 4
+
+
+@pytest.mark.parametrize("dim", [2, 6])
+def test_verify_axioms_decomposes_four_stacks_per_hermitian_slice(monkeypatch, dim):
+    calls, eigh = [0], np.linalg.eigh
+
+    def counted(a):
+        calls[0] += 1
+        return eigh(a)
+
+    monkeypatch.setattr(np.linalg, "eigh", counted)
+    step = verify.BLOCK_NUMBERS // (5 * dim * dim)  # samples per slice; one block holds 2.5 slices
+    for samples, slices in ((1, 1), (step, 1), (step + 1, 2)):
+        calls[0] = 0
+        verify_axioms(qk.matrix_hermitian(dim), samples=samples, seed=2)
+        assert calls[0] == 4 * slices  # x once per level, y, and x ▷ y
+
+
+@pytest.mark.parametrize("r", ALL_REALIZATIONS + [qk.matrix_hermitian(5)], ids=by_name)
+def test_verify_axioms_op_outputs_stay_within_block_numbers(monkeypatch, r):
+    monkeypatch.setattr(verify, "BLOCK_NUMBERS", 96)
+    sizes = []
+
+    def op(x, t, y):
+        out = r.op(x, t, y)
+        sizes.append(np.size(out))
+        return out
+
+    verify_axioms(qk.Realization(name=r.name, carrier=r.carrier, op=op, metric=r.metric,
+                                 sample=r.sample, default_tolerance=r.default_tolerance,
+                                 family=r.family), samples=45, seed=0)
+    size = np.size(r.sample(np.random.default_rng(0)))
+    assert max(sizes) <= max(96, 5 * size)  # a slice is one sample if five outputs exceed it
 
 
 def test_breakdown_in_one_sample_scores_only_that_term_inf():
@@ -597,6 +629,54 @@ def test_breakdown_in_one_sample_scores_only_that_term_inf():
     healthy = batched_reports(base, 8, 3)
     for name in ("self-action", "self-distributivity", "idempotency"):
         assert got[name] == healthy[name] and got[name][2]
+
+
+def test_breakdown_in_a_later_slice_scores_like_the_per_record_oracle(monkeypatch):
+    monkeypatch.setattr(verify, "BLOCK_NUMBERS", 96)  # slices of 9 samples of 2-vectors
+    base = qk.convex_flow(2)
+    bad_t = draws(base, 45, 3)[30][4]
+
+    def op(x, t, y):
+        # Only the inverse law acts for time -t; it breaks down at sample 30, in the 4th slice.
+        if np.any(np.asarray(t) == -bad_t):
+            raise OverflowError("breakdown")
+        return base.op(x, t, y)
+
+    broken = qk.Realization(name="broken", carrier=base.carrier, op=op, metric=base.metric,
+                            sample=base.sample, default_tolerance=base.default_tolerance)
+    got = verify_axioms(broken, samples=45, seed=3)
+    assert report_json(got) == report_json(per_record_verify_axioms(broken, 45, 3))
+    reports = {rep.axiom: rep for rep in got}
+    assert reports["inverse-law"].max_residual == math.inf
+    assert reports["inverse-law"].worst_case == {"sample": 30, "t": bad_t}
+    for healthy in verify_axioms(base, samples=45, seed=3):
+        if healthy.axiom != "inverse-law":
+            assert healthy.to_json() == {**reports[healthy.axiom].to_json(),
+                                         "realization": "convex-flow"}
+
+
+@settings(max_examples=60)
+@given(
+    name=st.sampled_from(qk.REALIZATION_NAMES),
+    dim=st.integers(min_value=1, max_value=4),
+    levels=st.integers(min_value=1, max_value=5),
+    n=st.integers(min_value=1, max_value=6),
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+)
+def test_a_stack_acts_on_every_level_as_each_member_alone(name, dim, levels, n, seed):
+    # The contract verify_axioms relies on: op(x[None], T, Y) with T of shape (levels, n)
+    # is, bit for bit, x[j] acting on Y[i, j] for time T[i, j], each computed alone.
+    r = qk.make_realization(name, dim=dim)
+    rng = np.random.default_rng(seed)
+    x = np.array([r.sample(rng) for _ in range(n)])
+    ys = np.array([[r.sample(rng) for _ in range(n)] for _ in range(levels)])
+    ts = rng.uniform(-PARAM_RANGE, PARAM_RANGE, (levels, n))
+    ts[0, 0] = 0.0
+    got = r.op(x[None], ts, ys)
+    assert got.shape == ys.shape
+    for i in range(levels):
+        for j in range(n):
+            assert got[i, j].tobytes() == np.asarray(r.op(x[j], ts[i, j], ys[i, j])).tobytes()
 
 
 @pytest.mark.parametrize("r", [r for r in FAMILIES if r.vector_carrier], ids=by_name)

@@ -107,6 +107,21 @@ def test_bloch_outputs_are_unit():
         assert abs(np.linalg.norm(out) - 1.0) <= 1e-12
 
 
+def test_sphere_draws_divide_by_the_norm_numpy_computes():
+    def reference(rng):  # the sampler as written with np.linalg.norm
+        while True:
+            v = rng.normal(size=3)
+            n = float(np.linalg.norm(v))
+            if n > 1e-3:
+                return v / n
+
+    a, b = np.random.default_rng(9), np.random.default_rng(9)
+    sample = qk.bloch().sample
+    for _ in range(10**4):
+        assert sample(a).tobytes() == reference(b).tobytes()
+    assert a.random() == b.random()
+
+
 def test_bloch_small_time_moves_along_cross_product():
     rng = np.random.default_rng(6)
     r = qk.bloch()
@@ -489,6 +504,24 @@ def test_union_sampler_produces_both_parts():
     rng = np.random.default_rng(16)
     parts = {r.sample(rng).part for _ in range(50)}
     assert parts == {"algebra", "space"}
+
+
+def test_union_redraws_as_the_numpy_norm_did():
+    def reference(unit):  # the reader as written with np.linalg.norm
+        if unit() < 0.5:
+            while abs(a := -1.0 + 2.0 * unit()) < 0.05:
+                pass
+            return (0.0, a, 0.0)
+        while float(np.linalg.norm(p := (-1.0 + 2.0 * unit(), -1.0 + 2.0 * unit()))) < 0.05:
+            pass
+        return (1.0, *p)
+
+    units = np.random.default_rng(11).random(400_000).tolist()
+    a, b = iter(units).__next__, iter(units).__next__
+    read = qk.union_lie().units[1]
+    for _ in range(10**5):
+        assert tuple(read(a)) == reference(b)
+    assert a() == b()  # both read as many units
 
 
 # ---------------------------------------------------------------------------
