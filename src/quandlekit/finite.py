@@ -23,9 +23,9 @@ from .linalg import _check_int
 Row = tuple[int, ...]
 Table = tuple[Row, ...]
 
-# Exhaustive-search guards: quandle rows are permutations fixing their own
-# index ((n-1)! each), anything weaker explodes as n**(n*n).
-MAX_ORDER = {"shelf": 3, "spindle": 3, "quandle": 5}
+# Exhaustive-search guards: shelf and spindle rows are any of n**n maps; at
+# quandle order 7 the relabelings enumerate_tables gathers would take 3 GB.
+MAX_ORDER = {"shelf": 3, "spindle": 3, "quandle": 6}
 KINDS = tuple(MAX_ORDER)
 
 
@@ -361,13 +361,14 @@ def relabel_table(table: Table, perm: Row) -> Table:
     return tuple(map(tuple, _relabelings(np.array(table), p[None]).reshape(n, n).tolist()))
 
 
-def _relabelings(table: np.ndarray, perms: np.ndarray) -> np.ndarray:
-    """The order-n int ``table``, read row-major, moved along old -> perms[k, old]:
-    one flat relabeling per row of the ``(K, n)`` stack, as a ``(K, n * n)`` array."""
+def _relabelings(tables: np.ndarray, perms: np.ndarray) -> np.ndarray:
+    """Order-n int tables, shape ``(..., n, n)``, each moved along old -> perms[k, old]:
+    one flat relabeling per row of the ``(K, n)`` stack, as a ``(..., K, n * n)`` array."""
     k, n = perms.shape
     inv = np.argsort(perms, axis=1)
     # Entry (a, b) of row k is perms[k] of the old entry at (inv[k, a], inv[k, b]).
-    old = table.take((inv * n)[:, :, None] + inv[:, None, :]).reshape(k, n * n)
+    cells = ((inv * n)[:, :, None] + inv[:, None, :]).reshape(k, n * n)
+    old = tables.reshape(*tables.shape[:-2], n * n).take(cells, axis=-1)
     return perms.take(old + (np.arange(k) * n)[:, None])
 
 
@@ -406,19 +407,35 @@ def canonical_form(m: MagmaTable) -> Table:
     return tuple(map(tuple, best.reshape(n, n).tolist()))
 
 
-def _search(order: int, kind: str) -> list[Table]:
-    """All order-n tables of the kind, in lexicographic order.
+def _cycle_type(row: Row) -> tuple[int, ...]:
+    """The cycle lengths of the permutation ``row``, longest first."""
+    todo, lengths = set(row), []
+    while todo:
+        start = x = todo.pop()
+        lengths.append(1)
+        while (x := row[x]) != start:
+            todo.discard(x)
+            lengths[-1] += 1
+    return tuple(sorted(lengths, reverse=True))
+
+
+def _search(order: int, kind: str, first: Row | None = None) -> list[Table]:
+    """All order-n tables of the kind, in lexicographic order; given a quandle
+    row ``first``, those whose row 0 is ``first`` and no row has a greater type.
 
     Branches on the least unplaced row, candidates in lexicographic order, so
     tables come out sorted.  Each pair of placed rows x, y with v = σ_x(y) is
     checked once rows x, y and v are all placed; while row v is unplaced, a
-    bijective σ_x forces it to σ_x σ_y σ_x⁻¹, which is a candidate for v.
+    bijective σ_x forces it to σ_x σ_y σ_x⁻¹ (of σ_y's type), a candidate for v.
     Rows without an inverse force nothing, so shelves share the search.
     """
     pool = list(permutations(range(order)) if kind == "quandle"
                 else product(range(order), repeat=order))
     # Quandle and spindle rows fix their own index; shelf rows are arbitrary.
     candidates = [[r for r in pool if kind == "shelf" or r[i] == i] for i in range(order)]
+    if first is not None:
+        bound = _cycle_type(first)
+        candidates = [[first]] + [[r for r in c if _cycle_type(r) <= bound] for c in candidates[1:]]
     inverse = {row: tuple(sorted(range(order), key=row.__getitem__))
                if len(set(row)) == order else None
                for row in set(chain.from_iterable(candidates))}
@@ -469,9 +486,10 @@ def enumerate_tables(order: int, kind: str, up_to_iso: bool = False) -> list[Mag
     """All order-n shelves, spindles or quandles, in lexicographic order.
 
     With ``up_to_iso`` the list holds one representative per isomorphism
-    class: the lexicographically least table of the class.  The search
-    places rows and lets every bijective left translation σ_x force the row
-    of σ_x(y) to σ_x σ_y σ_x⁻¹ (each σ_x of a rack is an automorphism).
+    class: the lexicographically least table of the class.  Every quandle is
+    a relabeling of one whose row 0 is the first row fixing 0 of its greatest
+    row cycle type (tuples compare lexicographically), so the search runs once
+    per type; one gather of all relabelings of its tables gives both lists.
     """
     if kind not in KINDS:
         raise ValueError(f"kind must be one of {KINDS}, got {kind!r}")
@@ -479,16 +497,14 @@ def enumerate_tables(order: int, kind: str, up_to_iso: bool = False) -> list[Mag
         raise ValueError(
             f"enumeration of {kind}s is limited to order <= {MAX_ORDER[kind]}"
         )
-    found = _search(order, kind)
+    # Each quandle row type's first row fixing 0 (later ones overwrite); none for other kinds.
+    firsts = {_cycle_type(r): r for r in reversed(list(permutations(range(order))))
+              if kind == "quandle" and r[0] == 0}
+    found = [t for first in firsts.values() or [None] for t in _search(order, kind, first)]
+    # Labels fit in a byte under MAX_ORDER.
+    relabeled = _relabelings(np.array(found, np.uint8), _permutation_stack(order).astype(np.uint8))
+    keys = relabeled.view(f"S{order * order}")[..., 0]
     if up_to_iso:
-        # ``found`` is sorted and closed under relabeling, so the first table
-        # met of each orbit is its least; one gather marks its orbit seen.
-        perms = _permutation_stack(order)
-        reps: list[Table] = []
-        seen: set[tuple[int, ...]] = set()
-        for t in found:
-            if tuple(chain.from_iterable(t)) not in seen:
-                reps.append(t)
-                seen.update(map(tuple, _relabelings(np.array(t), perms).tolist()))
-        found = reps
-    return [MagmaTable._built(t) for t in found]
+        keys = keys[np.arange(len(keys)), keys.argmin(axis=1)]
+    tables = np.unique(keys).view(np.uint8).reshape(-1, order, order)
+    return [MagmaTable._built(t) for t in tables.tolist()]

@@ -102,8 +102,18 @@ def test_enumerate_up_to_iso(capsys):
     assert json.loads(out.strip().splitlines()[-1])["count"] == 7
 
 
+@pytest.mark.parametrize("flags, count", [([], 6658), (["--up-to-iso"], 73)])
+def test_enumerate_quandles_of_order_six(capsys, flags, count):
+    code, out, _ = run_cli(capsys, "enumerate", "--order", "6", "--kind", "quandle", *flags)
+    assert code == 0
+    lines = out.strip().splitlines()
+    assert len(lines) == count + 1
+    assert json.loads(lines[-1]) == {"count": count, "order": 6, "kind": "quandle",
+                                     "up_to_iso": bool(flags)}
+
+
 def test_enumerate_guard_exits_two(capsys):
-    code, _, err = run_cli(capsys, "enumerate", "--order", "6", "--kind", "quandle")
+    code, _, err = run_cli(capsys, "enumerate", "--order", "7", "--kind", "quandle")
     assert code == 2 and "error:" in err
 
 

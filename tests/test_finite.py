@@ -9,6 +9,7 @@ sweep is too slow for a unit test.
 """
 
 import json
+import math
 from functools import cache
 from itertools import permutations, product
 
@@ -742,23 +743,31 @@ def test_quandle5_counts_frozen_from_oracle():
     assert len(qk.enumerate_tables(5, "quandle", up_to_iso=True)) == QUANDLE5_CLASSES
 
 
-def oracle_class_count(tables: np.ndarray) -> int:
-    """Isomorphism classes of a stack of tables closed under relabeling: each
-    table not yet seen opens a class and marks its n! relabelings seen."""
-    n = tables.shape[1]
+def oracle_relabelings(t: np.ndarray) -> np.ndarray:
+    """All n! relabelings of the order-n table ``t``, one flat table per row."""
+    n = len(t)
     perms = np.array(list(permutations(range(n))))
     inverses = np.argsort(perms, axis=1)
+    # relabeled[k, a, b] = perms[k][t[inv_k[a], inv_k[b]]]
+    old = t[inverses[:, :, None], inverses[:, None, :]]
+    return np.take_along_axis(perms, old.reshape(len(perms), -1), axis=1).astype(t.dtype)
+
+
+def oracle_least_tables(tables: np.ndarray) -> list:
+    """The least table of each isomorphism class of a stack of tables closed
+    under relabeling, sorted: each table not yet seen opens a class and marks
+    its n! relabelings seen."""
+    n = tables.shape[1]
     index = {t.tobytes(): i for i, t in enumerate(tables)}
     seen = np.zeros(len(tables), dtype=bool)
-    classes = 0
+    least = []
     for i, t in enumerate(tables):
         if not seen[i]:
-            classes += 1
-            # relabeled[k, a, b] = perms[k][t[inv_k[a], inv_k[b]]]
-            old = t[inverses[:, :, None], inverses[:, None, :]]
-            images = np.take_along_axis(perms, old.reshape(len(perms), -1), axis=1)
-            seen[[index[r.tobytes()] for r in images.astype(tables.dtype)]] = True
-    return classes
+            images = oracle_relabelings(t)
+            seen[[index[r.tobytes()] for r in images]] = True
+            flat = min(map(tuple, images.tolist()))
+            least.append(tuple(flat[a * n:(a + 1) * n] for a in range(n)))
+    return sorted(least)
 
 
 @cache
@@ -780,18 +789,36 @@ def test_search_gives_every_quandle_beyond_the_oracle_range(n, count, classes):
     assert oracle_sd_mask(stack).all()
     assert (stack[:, diag, diag] == diag).all()
     assert (np.sort(stack, axis=2) == diag).all()
-    assert oracle_class_count(stack) == classes
+    assert len(oracle_least_tables(stack)) == classes
 
 
-def test_class_sweep_above_the_order_cap(monkeypatch):
-    # With the cap lifted, the sweep over the 6658 labeled quandles of order 6
-    # keeps 73 (OEIS A181771), each the least table of its class.
-    monkeypatch.setitem(qk.finite.MAX_ORDER, "quandle", 6)
-    monkeypatch.setattr(qk.finite, "_search", lambda n, kind: searched_quandles(n))
-    reps = [m.table for m in qk.enumerate_tables(6, "quandle", up_to_iso=True)]
-    assert len(reps) == 73
-    assert all(a < b for a, b in zip(reps, reps[1:]))
-    assert all(qk.canonical_form(qk.MagmaTable.from_rows(t)) == t for t in reps)
+@pytest.mark.parametrize("n", [5, 6])
+def test_labeled_enumeration_is_the_searched_list(n):
+    # One search per greatest row type, then every relabeling of what it
+    # found, gives exactly the tables of the unrestricted search.
+    assert [m.table for m in qk.enumerate_tables(n, "quandle")] == searched_quandles(n)
+
+
+@pytest.mark.parametrize("n, classes", [(5, QUANDLE5_CLASSES), (6, 73)])
+def test_up_to_iso_is_the_least_table_of_each_searched_class(n, classes):
+    # 73 is OEIS A181771 at order 6.
+    oracle = oracle_least_tables(np.array(searched_quandles(n), dtype=np.int8))
+    reps = [m.table for m in qk.enumerate_tables(n, "quandle", up_to_iso=True)]
+    assert reps == oracle
+    assert len(reps) == classes
+
+
+def test_orbit_stabilizer_gives_the_labeled_counts():
+    # A class of order n holds n! / |Aut(Q)| labeled tables, where Aut(Q) is
+    # the relabelings that fix the table.  The labeled counts are the lengths
+    # of the unrestricted search's lists (the oracle's up to order 4).
+    for n, labeled in zip(range(1, 7), (1, 1, 5, 36, 404, 6658)):
+        total = 0
+        for rep in qk.enumerate_tables(n, "quandle", up_to_iso=True):
+            t = np.array(rep.table)
+            automorphisms = (oracle_relabelings(t) == t.reshape(-1)).all(axis=1).sum()
+            total += math.factorial(n) // int(automorphisms)
+        assert total == labeled
 
 
 def test_orbit_sizes_sum_to_raw_count():
@@ -923,7 +950,7 @@ def test_enumeration_guards():
     with pytest.raises(ValueError):
         qk.enumerate_tables(4, "spindle")
     with pytest.raises(ValueError):
-        qk.enumerate_tables(6, "quandle")
+        qk.enumerate_tables(7, "quandle")
     with pytest.raises(ValueError):
         qk.enumerate_tables(0, "quandle")
     with pytest.raises(ValueError, match="order must be an integer, got True"):
