@@ -68,7 +68,11 @@ class Realization:
     exists.  ``units`` optionally gives ``sample`` on uniform doubles, so that
     engines can read a block of the random stream at once: ``(w, finish)``
     samples ``finish(rng.random(w))``, finish mapping a ``(..., w)`` stack to a
-    stack of elements; ``(None, read)`` samples ``read(rng.random)``.
+    stack of elements; ``(None, (scan, members))`` samples elements of varying
+    length: ``scan(u)`` gives each index i of a 1-d u the end of the element read
+    from u[i] on (past ``len(u)`` if it runs past u) and its row, ``members`` maps
+    a stack of rows to elements, and ``sample`` reads a unit at a time until the
+    scan ends its element.
     """
 
     name: str
@@ -85,7 +89,7 @@ class Realization:
     encode: Optional[Callable[[Any], Any]] = None
     flat_labels: Optional[tuple[str, ...]] = None
     params: dict = field(default_factory=dict)
-    units: Optional[tuple[Optional[int], Callable[[Any], Any]]] = None
+    units: Optional[tuple[Optional[int], Any]] = None
 
 
 class UnionElement(tuple):
@@ -257,7 +261,13 @@ def _vector_codec(dim: int, decode=None) -> dict:
 
 def _on_units(w: Optional[int], finish) -> dict:
     """``sample`` and ``units`` on unit doubles u; rng.uniform(lo, hi) is lo + (hi - lo) * u."""
-    sample = (lambda rng: finish(rng.random)) if w is None else (lambda rng: finish(rng.random(w)))
+    def scanned(rng):
+        u = [rng.random()]
+        while (found := finish[0](np.array(u)))[0][0] > len(u):
+            u.append(rng.random())
+        return finish[1](found[1][:1])[0]
+
+    sample = scanned if w is None else (lambda rng: finish(rng.random(w)))
     return dict(sample=sample, units=(w, finish))
 
 
@@ -286,16 +296,30 @@ def _unit_simplex(u: np.ndarray) -> np.ndarray:
     return w / np.sum(w, axis=-1, keepdims=True)
 
 
-def _read_union(unit) -> UnionElement:
-    """A part, then a scale or point on [-1, 1] redrawn until 0.05 or more from 0: finite
-    floats, so the row is built without UnionElement's checks."""
-    if unit() < 0.5:
-        while abs(a := -1.0 + 2.0 * unit()) < 0.05:
-            pass
-        return tuple.__new__(UnionElement, (0.0, a, 0.0))
-    while math.hypot(*(p := (-1.0 + 2.0 * unit(), -1.0 + 2.0 * unit()))) < 0.05:
-        pass
-    return tuple.__new__(UnionElement, (1.0, *p))
+def _scan_union(u: np.ndarray):
+    """The union's scan (see `Realization`): a part below 0.5 is the algebra, its scale -1 + 2u
+    redrawn while |a| < 0.05; else the plane, its pair redrawn while its np.hypot is under 0.05.
+    The next accepted draw at or after each index is a reverse running minimum, per parity for
+    pairs."""
+    n = len(u)
+    v = np.zeros(n + 3 - n % 2)  # zeros keep gathers in bounds; an even count of pair starts
+    v[:n] = -1.0 + 2.0 * u
+    far = np.abs(v) >= 0.05
+    ok = far[:-1] | far[1:]  # np.hypot is at least either coordinate, so only a pair of
+    near = (~ok).nonzero()[0]  # two coordinates under 0.05 can redraw
+    ok[near] = np.hypot(v[near], v[near + 1]) >= 0.05
+    j = np.arange(len(v) - 1, -1, -1)
+    scale = np.minimum.accumulate(np.where(far[::-1], j, n))[::-1]
+    pair = np.minimum.accumulate(np.where(ok[::-1], j[1:], n - 1).reshape(-1, 2)).ravel()[::-1]
+    algebra = u < 0.5
+    at = np.where(algebra, scale[1:n + 1], pair[1:n + 1])
+    rows = np.array([1.0 - algebra, v[at], np.where(algebra, 0.0, v[at + 1])]).T
+    return at + 2 - algebra, rows
+
+
+def _union_elements(rows: np.ndarray) -> list:
+    """The elements scanned rows stand for, built without UnionElement's checks: finite floats."""
+    return [tuple.__new__(UnionElement, row) for row in rows.tolist()]
 
 
 # ---------------------------------------------------------------------------
@@ -472,7 +496,7 @@ def union_lie() -> Realization:
         carrier="rotation-algebra scalars plus plane points",
         op=op_union,
         metric=_union_metric,
-        **_on_units(None, _read_union),
+        **_on_units(None, (_scan_union, _union_elements)),
         default_tolerance=1e-12,
         vector_carrier=False,
         decode=decode,

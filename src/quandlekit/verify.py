@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import csv
 import functools
-import itertools
 import math
 import sys
 from dataclasses import dataclass
@@ -147,7 +146,9 @@ def _scores(score, n: int, size: int) -> np.ndarray:
 def _draw(r: Realization, rng: np.random.Generator, n: int, k: int, p: int):
     """(first index, columns) per block of at most BLOCK_NUMBERS element numbers of n records,
     each k ``r.sample`` calls then p ``rng.uniform(-PARAM_RANGE, PARAM_RANGE)``, read in that
-    order: k element columns, arrays for a ``units`` width, else tuples, and p arrays."""
+    order: k element columns, stacks for a ``units`` form, else tuples, and p arrays.  A scan
+    form's records start where pointer doubling of record start -> next start lands, and a
+    block that runs past the units read reads more; the rest of what it read is never used."""
     lo, span = -PARAM_RANGE, 2 * PARAM_RANGE
     w, finish = r.units or (None, None)
     if w is not None:  # one rng.random call per block
@@ -157,11 +158,27 @@ def _draw(r: Realization, rng: np.random.Generator, n: int, k: int, p: int):
             params = lo + span * u[:, k * w:].T
             yield start, [finish(u[:, j * w:(j + 1) * w]) for j in range(k)] + list(params)
         return
-    unit, element = rng.random, functools.partial(r.sample, rng)
-    if finish is not None:  # a reader reads a buffer of rng.random calls, which may run ahead
-        unit = itertools.chain.from_iterable(iter(lambda: rng.random(1024).tolist(), None)).__next__
-        element = functools.partial(finish, unit)
-    record = [element] * k + [lambda: lo + span * unit()] * p
+    if finish is not None:  # a scan: records are walked by their elements' ends, none in Python
+        u, start = np.empty(0), 0
+        while start < n:
+            m = min(BLOCK_NUMBERS // 3, n - start)  # a row (tag, a, b) holds three numbers and
+            u = np.concatenate([u, rng.random(max(m * (3 * k + p) - len(u), 1))])  # reads three
+            end, rows = finish[0](u)  # units, unless it redraws
+            ends = np.concatenate([end, [len(u) + 1] * 2])  # from the end on, past the end
+            hops = [np.arange(len(ends))]  # hops[j][i]: where the j-th element from u[i] starts
+            for _ in range(k):
+                hops.append(ends[hops[-1]])
+            after = np.minimum(hops[k] + p, len(u) + 1) if p else hops[k]  # the next record's start
+            at, jump = np.zeros(1, np.intp), after
+            while len(at) < m:  # pointer doubling: records [0, 2^i) start at, so [0, 2^(i+1))
+                at, jump = np.concatenate([at, jump[at]]), jump[jump]
+            at = at[:m]
+            if after[at[-1]] <= len(u):  # else the records ran past the units read: read more
+                yield start, ([rows[h[at]] for h in hops[:k]]
+                              + [lo + span * u[hops[k][at] + q] for q in range(p)])
+                u, start = u[after[at[-1]]:], start + m
+        return
+    record = [functools.partial(r.sample, rng)] * k + [lambda: lo + span * rng.random()] * p
     rows, step = [], None
     for i in range(n):
         rows.append([draw() for draw in record])
@@ -396,13 +413,13 @@ def _noether_scorer(r: Realization, mode, t_samples, t_max, tol):
     else:
         raise ValueError(f"mode must be 'sampled' or 'bracket', got {mode!r}")
 
-    def verdicts(xs, ys) -> list:
-        sx, sy = np.array(xs), np.array(ys)
+    def verdicts(xs, ys, names=None) -> list:  # a verdict names its pair as names do, else xs, ys
+        sx, sy = np.asarray(xs), np.asarray(ys)
         res_xy = _scores(lambda k: residual(sx[k], sy[k]), len(xs), size * sx[0].size).tolist()
         res_yx = _scores(lambda k: residual(sy[k], sx[k]), len(xs), size * sx[0].size).tolist()
         return [NoetherVerdict(x, y, a <= tol, b <= tol, (a <= tol) == (b <= tol), method,
                                {"x_fixes_y": a, "y_fixes_x": b})
-                for x, y, a, b in zip(xs, ys, res_xy, res_yx)]
+                for x, y, a, b in zip(*(names or (xs, ys)), res_xy, res_yx)]
 
     return verdicts
 
@@ -445,10 +462,12 @@ def noether_suite(
     seed = _check_int(seed, "seed", 0)
     sampled = _noether_scorer(r, "sampled", t_samples, t_max, tol)
     rng = np.random.default_rng(seed)
-    # The x = x control, then the pairs (x, y), in the order they are drawn.
-    draws = [e for _, (column,) in _draw(r, rng, 2 * pairs + 1, 1, 0) for e in column]
-    xs, ys = draws[:1] + draws[1::2], draws[:1] + draws[2::2]
-    control, *verdicts = sampled(xs, ys)
+    # The x = x control, then the pairs (x, y), in the order they are drawn; a scan's rows
+    # are named in the verdicts by the elements they stand for.
+    draws = np.concatenate([column for _, (column,) in _draw(r, rng, 2 * pairs + 1, 1, 0)])
+    xs, ys = np.concatenate([draws[:1], draws[1::2]]), draws[::2]
+    named = r.units[1][1](draws) if r.units and r.units[0] is None else list(draws)
+    control, *verdicts = sampled(xs, ys, (named[:1] + named[1::2], named[::2]))
 
     modes_agree = None
     if r.analytic_bracket is not None:

@@ -482,6 +482,91 @@ def test_verify_axioms_across_full_blocks_is_byte_equal_to_per_record_oracle(r):
             == report_json(per_record_verify_axioms(r, samples, 5)))
 
 
+def union_records(samples, k, p, seed):
+    """The columns of n records of k `_sample_union` calls then p rng.uniform parameters,
+    drawn one record at a time: `draws` for k = 3, p = 2."""
+    if (k, p) == (3, 2):
+        return [np.array(column) for column in zip(*draws(qk.union_lie(), samples, seed))]
+    rng = np.random.default_rng(seed)
+    rows = [[_sample_union(rng) for _ in range(k)]
+            + [float(rng.uniform(-PARAM_RANGE, PARAM_RANGE)) for _ in range(p)]
+            for _ in range(samples)]
+    return [np.array(column) for column in zip(*rows)]
+
+
+def drawn_columns(r, rng, samples, k, p):
+    """`verify._draw`'s columns joined across its blocks, with the blocks' first indices."""
+    blocks = list(verify._draw(r, rng, samples, k, p))
+    return [np.concatenate(c) for c in zip(*(cols for _, cols in blocks))], [i for i, _ in blocks]
+
+
+@pytest.mark.parametrize("k, p", [(3, 2), (1, 0)])
+def test_union_draw_is_bitwise_the_per_record_oracle(k, p):
+    for seed in range(100):
+        for samples in (1, 2, 7, 300):
+            got, starts = drawn_columns(qk.union_lie(), np.random.default_rng(seed), samples, k, p)
+            want = union_records(samples, k, p, seed)
+            assert starts == [0] and len(got) == len(want) == k + p
+            for column, expected in zip(got, want):
+                assert column.shape == expected.shape
+                assert column.tobytes() == expected.tobytes()
+
+
+def test_union_draw_across_blocks_is_bitwise_the_per_record_oracle():
+    samples = 11_000  # three numbers per element: two blocks of rows
+    for seed in (0, 1):
+        got, starts = drawn_columns(qk.union_lie(), np.random.default_rng(seed), samples, 3, 2)
+        assert starts == [0, verify.BLOCK_NUMBERS // 3]
+        for column, expected in zip(got, union_records(samples, 3, 2, seed)):
+            assert column.tobytes() == expected.tobytes()
+
+
+class ShortReads:
+    """A generator whose ``random(size)`` returns at most ``most`` units, counting its calls."""
+
+    def __init__(self, seed, most):
+        self.rng, self.most, self.calls = np.random.default_rng(seed), most, 0
+
+    def random(self, size):
+        self.calls += 1
+        return self.rng.random(min(size, self.most))
+
+
+@pytest.mark.parametrize("k, p", [(3, 2), (1, 0)])
+def test_union_draw_whose_reads_run_short_is_unchanged(k, p):
+    r = qk.union_lie()
+    for seed in range(10):
+        for samples, most in ((1, 1), (7, 5), (300, 97)):
+            short = ShortReads(seed, most)
+            got, _ = drawn_columns(r, short, samples, k, p)
+            want, _ = drawn_columns(r, np.random.default_rng(seed), samples, k, p)
+            assert short.calls > 1
+            assert [c.tobytes() for c in got] == [c.tobytes() for c in want]
+
+
+def test_union_draw_reads_more_where_its_first_read_runs_short():
+    # One element from three units runs short wherever it redraws a plane pair or an algebra
+    # scale twice; such seeds must still draw what one element at a time draws.
+    short = []
+    for seed in range(3000):
+        counted = ShortReads(seed, 10**6)
+        got, _ = drawn_columns(qk.union_lie(), counted, 1, 1, 0)
+        if counted.calls > 1:
+            short.append(seed)
+            assert got[0].tobytes() == union_records(1, 1, 0, seed)[0].tobytes()
+    assert short
+
+
+@pytest.mark.parametrize("seed", range(10))
+def test_noether_suite_names_union_pairs_by_their_elements(seed):
+    rng = np.random.default_rng(seed)
+    drawn = [_sample_union(rng) for _ in range(17)]  # the control, then eight pairs
+    summary = qk.noether_suite(qk.union_lie(), 8, seed)
+    for v, x, y in zip(summary.verdicts, drawn[1::2], drawn[2::2]):
+        assert type(v.x) is qk.UnionElement and type(v.y) is qk.UnionElement
+        assert (repr(v.x), repr(v.y)) == (repr(x), repr(y))
+
+
 def batched_reports(r, samples, seed):
     return {rep.axiom: (rep.max_residual, rep.worst_case, rep.passed)
             for rep in verify_axioms(r, samples=samples, seed=seed)}

@@ -516,12 +516,43 @@ def test_union_redraws_as_the_numpy_norm_did():
             pass
         return (1.0, *p)
 
-    units = np.random.default_rng(11).random(400_000).tolist()
-    a, b = iter(units).__next__, iter(units).__next__
-    read = qk.union_lie().units[1]
+    units = np.random.default_rng(11).random(400_000)
+    b = iter(units.tolist()).__next__
+    end, rows = qk.union_lie().units[1][0](units)  # the scan redraws by np.hypot
+    i = 0
     for _ in range(10**5):
-        assert tuple(read(a)) == reference(b)
-    assert a() == b()  # both read as many units
+        assert tuple(rows[i].tolist()) == reference(b)
+        i = int(end[i])
+    assert units[i] == b()  # both read as many units
+
+
+def test_union_scan_reports_an_element_cut_off_by_the_end():
+    scan = qk.union_lie().units[1][0]
+    # A plane point missing a coordinate, an algebra scale redrawn (u = 0.5 gives 0) past the
+    # end, a plane pair redrawn past the end, and a bare part.
+    for u in ([0.9, 0.3], [0.1, 0.5], [0.9, 0.5, 0.5], [0.2], [0.7]):
+        end, rows = scan(np.array(u))
+        assert end[0] > len(u) and rows.shape == (len(u), 3)
+    u = np.array([0.125, 0.5, 0.75, 0.875, 0.5, 0.5, 0.25, 0.0])
+    end, rows = scan(u)
+    assert end[:4].tolist() == [3, 4, 5, 8]
+    assert rows[:4].tolist() == [[0.0, 0.5, 0.0], [1.0, 0.5, 0.75], [1.0, 0.75, 0.0],
+                                 [1.0, -0.5, -1.0]]
+    assert scan(u[:7])[0][3] > 7  # its second pair is cut off
+
+
+def test_union_scan_of_a_prefix_agrees_on_every_element_it_completes():
+    scan = qk.union_lie().units[1][0]
+    rng = np.random.default_rng(5)
+    # Units near 0.5 draw coordinates near 0, so that redraws are common.
+    u = np.where(rng.random(300) < 0.5, 0.5 + (rng.random(300) - 0.5) / 10, rng.random(300))
+    full_end, full_rows = scan(u)
+    for n in range(len(u) + 1):
+        end, rows = scan(u[:n])
+        done = full_end[:n] <= n
+        assert np.array_equal(end[done], full_end[:n][done])
+        assert rows[done].tobytes() == full_rows[:n][done].tobytes()
+        assert (end[~done] > n).all()
 
 
 # ---------------------------------------------------------------------------
