@@ -165,10 +165,13 @@ def random_hermitian(
     rng: np.random.Generator, dim: int, unit_norm: bool = False
 ) -> np.ndarray:
     """Hermitized uniform random matrix, optionally scaled to max_abs 1."""
-    h = hermitize(random_complex(rng, dim))
-    if unit_norm:
-        h = h / max_abs(h)
-    return h
+    u = rng.random(2 * dim * dim)
+    return _unit_hermitian(u, dim) if unit_norm else hermitize(_complex_from_units(u, dim))
+
+
+def _unit_hermitian(u: np.ndarray, dim: int) -> np.ndarray:
+    h = hermitize(_complex_from_units(u, dim))
+    return h / np.max(np.abs(h), axis=(-2, -1), keepdims=True)
 
 
 def matrix_to_json(a) -> dict:

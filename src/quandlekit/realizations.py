@@ -24,6 +24,7 @@ from .linalg import (
     _complex_from_units,
     _json_vector,
     _operands,
+    _unit_hermitian,
     commutator,
     conjugate_by_exp,
     hermitize,
@@ -65,14 +66,15 @@ class Realization:
     by scalars (needed for difference quotients and CSV rows), and
     ``flat_labels`` names a vector point's CSV columns.  ``generator`` maps an
     element to the plain-convention matrix generator of its flow, when one
-    exists.  ``units`` optionally gives ``sample`` on uniform doubles, so that
-    engines can read a block of the random stream at once: ``(w, finish)``
-    samples ``finish(rng.random(w))``, finish mapping a ``(..., w)`` stack to a
-    stack of elements; ``(None, (scan, members))`` samples elements of varying
-    length: ``scan(u)`` gives each index i of a 1-d u the end of the element read
-    from u[i] on (past ``len(u)`` if it runs past u) and its row, ``members`` maps
-    a stack of rows to elements, and ``sample`` reads a unit at a time until the
-    scan ends its element.
+    exists.  ``units`` optionally gives ``sample`` on uniform doubles, so that engines
+    can read a block of the random stream at once: ``(w, finish)`` samples
+    ``finish(rng.random(w))``, finish mapping any ``(..., w)`` stack, such as a
+    block's ``(k, m, w)`` units, to a stack of elements.  A scan form
+    ``(None, (scan, members))`` samples elements of varying length: ``scan(u)`` gives
+    each index i of a 1-d u the end of the element read from u[i] on (past ``len(u)``
+    if it runs past u) and its row of three numbers, ``members`` maps a stack of rows
+    to elements, and ``sample`` reads a unit at a time until the scan ends its
+    element; engines size blocks for three units an element, as read without redraws.
     """
 
     name: str
@@ -277,11 +279,6 @@ def _sample_unit_sphere(rng: np.random.Generator) -> np.ndarray:
         n = math.sqrt(v @ v)
         if n > 1e-3:
             return v / n
-
-
-def _unit_hermitian(u: np.ndarray, dim: int) -> np.ndarray:
-    h = hermitize(_complex_from_units(u, dim))
-    return h / np.max(np.abs(h), axis=(-2, -1), keepdims=True)
 
 
 def _unit_general_matrix(u: np.ndarray, dim: int) -> np.ndarray:

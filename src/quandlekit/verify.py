@@ -151,12 +151,12 @@ def _draw(r: Realization, rng: np.random.Generator, n: int, k: int, p: int):
     block that runs past the units read reads more; the rest of what it read is never used."""
     lo, span = -PARAM_RANGE, 2 * PARAM_RANGE
     w, finish = r.units or (None, None)
-    if w is not None:  # one rng.random call per block
+    if w is not None:  # one rng.random, one finish per block; a copy by column keeps columns contiguous
         step = max(1, BLOCK_NUMBERS // w)
         for start in range(0, n, step):
             u = rng.random((min(step, n - start), k * w + p))
             params = lo + span * u[:, k * w:].T
-            yield start, [finish(u[:, j * w:(j + 1) * w]) for j in range(k)] + list(params)
+            yield start, [*finish(u[:, :k * w].reshape(-1, k, w).swapaxes(0, 1).copy()), *params]
         return
     if finish is not None:  # a scan: records are walked by their elements' ends, none in Python
         u, start = np.empty(0), 0
@@ -213,15 +213,15 @@ def _axiom_terms(r: Realization) -> dict:
 
 
 def _residuals(r: Realization, x, y, z, s, t) -> np.ndarray:
-    """Each `_axiom_terms(r)` term's residuals, one row per term, by four op calls: x acts once
-    per level, on all its (time, element) pairs.  Where one raises, `_scores` scores each term."""
+    """Each `_axiom_terms(r)` term's residuals, one row per term, by three op calls, each on all
+    its (time, element) pairs: x, y with x ▷ₛ y, x.  Where one raises, `_scores` scores each term."""
     op, k = r.op, 5 if r.family else 3  # a fixed operation forms only x ▷ y, x ▷ z and x ▷ x
     try:
         xsy, xsz, xsx, *xt = op(x[None], np.array([s, s, s, t, s + t][:k]),
                                 np.array([y, z, x, y, y][:k]))
-        xs_ytz, *xxt = op(x[None], np.array([s, s, -t][:k - 2]),
-                          np.array([op(y, t, z), *xt[:1], *xt[:1]]))
-        pairs = [(xs_ytz, op(xsy, t, xsz)), (xsx, x)]  # self-distributivity, idempotency
+        ytz, xsy_t_xsz = op(np.array([y, xsy]), t, np.array([z, xsz]))
+        xs_ytz, *xxt = op(x[None], np.array([s, s, -t][:k - 2]), np.array([ytz, *xt[:1], *xt[:1]]))
+        pairs = [(xs_ytz, xsy_t_xsz), (xsx, x)]  # self-distributivity, idempotency
         if r.family:  # x ▷ₛ (x ▷ₜ y) = x ▷ₛ₊ₜ y first, and x ▷₋ₜ (x ▷ₜ y) = y last
             pairs = [(xxt[0], xt[1]), *pairs, (xxt[1], y)]
         res = r.metric(*map(np.array, zip(*pairs)))
@@ -386,8 +386,8 @@ def write_trajectory_csv(traj: Trajectory, r: Realization, stream) -> None:
 
 
 def _noether_scorer(r: Realization, mode, t_samples, t_max, tol):
-    """Check the arguments of `noether_check` and return its verdicts as a
-    function of pairs (xs[k], ys[k]), each direction scored by `_scores`."""
+    """Check the arguments of `noether_check` and return its verdicts as a function of
+    pairs (xs[k], ys[k]), by one `_scores` call on the pairs (x, y) stacked on (y, x)."""
     if not r.family:
         raise ValueError(f"{r.name} has no flow to test for fixing")
     tol = _check_real(tol, "tol", allow_zero=True)
@@ -414,12 +414,11 @@ def _noether_scorer(r: Realization, mode, t_samples, t_max, tol):
         raise ValueError(f"mode must be 'sampled' or 'bracket', got {mode!r}")
 
     def verdicts(xs, ys, names=None) -> list:  # a verdict names its pair as names do, else xs, ys
-        sx, sy = np.asarray(xs), np.asarray(ys)
-        res_xy = _scores(lambda k: residual(sx[k], sy[k]), len(xs), size * sx[0].size).tolist()
-        res_yx = _scores(lambda k: residual(sy[k], sx[k]), len(xs), size * sx[0].size).tolist()
+        n, us, vs = len(xs), np.concatenate([xs, ys]), np.concatenate([ys, xs])
+        res = _scores(lambda k: residual(us[k], vs[k]), 2 * n, size * us[0].size).tolist()
         return [NoetherVerdict(x, y, a <= tol, b <= tol, (a <= tol) == (b <= tol), method,
                                {"x_fixes_y": a, "y_fixes_x": b})
-                for x, y, a, b in zip(*(names or (xs, ys)), res_xy, res_yx)]
+                for x, y, a, b in zip(*(names or (xs, ys)), res[:n], res[n:])]
 
     return verdicts
 
@@ -436,7 +435,7 @@ def noether_check(
     """Decide both directions of "one element's whole flow fixes the other".
 
     Sampled mode evaluates the flow on an evenly spaced grid of t_samples
-    points in [-t_max, t_max], one op call per direction; bracket mode tests
+    points in [-t_max, t_max], one op call for both directions; bracket mode tests
     whether the analytic bracket vanishes (a grid-free criterion, available
     where a bracket is).
     """
@@ -456,7 +455,7 @@ def noether_suite(
     Includes a degenerate x = x positive control (idempotency forces both
     directions true) and, where an analytic bracket exists, cross-validates
     the sampled verdicts against the bracket criterion on every pair.  All
-    pairs are scored together, one op call per direction and block of pairs.
+    pairs are scored together in both directions, one op call per block.
     """
     pairs = _check_int(pairs, "pairs", 1)
     seed = _check_int(seed, "seed", 0)

@@ -9,6 +9,7 @@ compute, and the axiom reports of the per-sample loop, bit for bit on the
 matrix realizations.
 """
 
+import dataclasses
 import json
 import math
 import warnings
@@ -368,10 +369,30 @@ def test_sample_is_bitwise_the_old_sampler(r):
                          ids=lambda r: f"{r.name}{r.params}")
 def test_units_finish_a_stack_as_each_row_alone(r):
     w, finish = r.units
-    u = np.random.default_rng(3).random((7, w))
-    stack = finish(u)
-    for row, member in zip(u, stack):
-        assert np.asarray(finish(row)).tobytes() == np.asarray(member).tobytes()
+    for shape in ((7,), (7, 3)):  # rows, and a block of 7 records of 3 elements as _draw reads it
+        u = np.random.default_rng(3).random((*shape, w))
+        stack = finish(u)
+        for i in np.ndindex(shape):
+            assert np.asarray(finish(u[i])).tobytes() == np.asarray(stack[i]).tobytes()
+
+
+@pytest.mark.parametrize("r", [r for r in SAMPLER_CASES if r.units and r.units[0]],
+                         ids=lambda r: f"{r.name}{r.params}")
+def test_draw_finishes_a_block_in_one_call_as_per_column_calls_would(r):
+    w, finish = r.units
+    lo, span = -PARAM_RANGE, 2 * PARAM_RANGE
+    for n in (1, 7, 300):
+        shapes = []
+        counted = dataclasses.replace(r, units=(w, lambda u: shapes.append(u.shape) or finish(u)))
+        rng, oracle = np.random.default_rng(n), np.random.default_rng(n)
+        [(start, block)] = verify._draw(counted, rng, n, 3, 2)  # one block of n records
+        u = oracle.random((n, 3 * w + 2))  # the read as it was: k finish calls, one per column
+        want = [finish(u[:, j * w:(j + 1) * w]) for j in range(3)]
+        want += list(lo + span * u[:, 3 * w:].T)
+        assert start == 0 and shapes == [(3, n, w)]
+        assert [(c.shape, c.dtype, c.tobytes()) for c in block] == [
+            (c.shape, c.dtype, c.tobytes()) for c in want]
+        assert rng.random() == oracle.random()  # the same stream was read
 
 
 def draws(r, samples, seed):
@@ -657,26 +678,22 @@ def counting(r):
 
 @pytest.mark.parametrize("r", ALL_REALIZATIONS, ids=by_name)
 def test_verify_axioms_makes_a_fixed_number_of_op_calls(r):
-    for samples in (1, 40):  # one slice: x acts twice, y once and x ▷ y once
+    for samples in (1, 40):  # one slice: x acts twice, y and x ▷ y act together once
         counted, calls = counting(r)
         verify_axioms(counted, samples=samples, seed=1)
-        assert calls[0] == 4
+        assert calls[0] == 3
 
 
 @pytest.mark.parametrize("dim", [2, 6])
 def test_verify_axioms_decomposes_four_stacks_per_hermitian_slice(monkeypatch, dim):
-    calls, eigh = [0], np.linalg.eigh
-
-    def counted(a):
-        calls[0] += 1
-        return eigh(a)
-
-    monkeypatch.setattr(np.linalg, "eigh", counted)
+    shapes, eigh = [], np.linalg.eigh
+    monkeypatch.setattr(np.linalg, "eigh", lambda a: shapes.append(np.shape(a)) or eigh(a))
     step = verify.BLOCK_NUMBERS // (5 * dim * dim)  # samples per slice; one block holds 2.5 slices
-    for samples, slices in ((1, 1), (step, 1), (step + 1, 2)):
-        calls[0] = 0
+    for samples, slices in ((1, [1]), (step, [step]), (step + 1, [step, 1])):
+        shapes.clear()
         verify_axioms(qk.matrix_hermitian(dim), samples=samples, seed=2)
-        assert calls[0] == 4 * slices  # x once per level, y, and x ▷ y
+        # Three calls per slice: x, then y and x ▷ y stacked, then x again.
+        assert shapes == [(n, m, dim, dim) for m in slices for n in (1, 2, 1)]
 
 
 @pytest.mark.parametrize("r", ALL_REALIZATIONS + [qk.matrix_hermitian(5)], ids=by_name)
@@ -851,6 +868,21 @@ def test_noether_suite_matches_per_pair_oracle_across_blocks():
     assert_suite_matches_oracle(r, 20, 0)
 
 
+@pytest.mark.parametrize("r", [qk.convex_flow(3), qk.matrix_hermitian(3), qk.bloch(),
+                               qk.union_lie()], ids=by_name)
+@pytest.mark.parametrize("step", [3, 7])
+def test_noether_stack_split_by_a_block_boundary_matches_the_oracle(monkeypatch, r, step):
+    # The control and 6 pairs stack 7 members per direction, 14 in all.  Blocks of 3 split
+    # the first direction and straddle both; blocks of 7 split the stack between them.
+    size = NOETHER_GRID * np.size(r.sample(np.random.default_rng(0)))
+    monkeypatch.setattr(verify, "BLOCK_NUMBERS", step * size)
+    counted, calls = counting(r)
+    qk.noether_suite(counted, pairs=6, seed=0)
+    assert calls[0] == -(-14 // step)
+    for seed in range(3):
+        assert_suite_matches_oracle(r, 6, seed)
+
+
 def test_breakdown_in_one_pair_scores_only_that_direction_inf():
     base, pairs, seed, k = qk.convex_flow(2), 6, 4, 3
     rng = np.random.default_rng(seed)
@@ -872,13 +904,16 @@ def test_breakdown_in_one_pair_scores_only_that_direction_inf():
     for i, (v, w) in enumerate(zip(got, healthy)):
         if i != k:
             assert v.residuals == w.residuals
-    # x_fixes_y: the block, then each of its members again; y_fixes_x: one block.
-    assert calls[0] == 1 + (pairs + 1) + 1
+    # The block of both directions, then each of its members again.
+    assert calls[0] == 1 + 2 * (pairs + 1)
 
 
 @pytest.mark.parametrize("r", [qk.bloch(), qk.matrix_hermitian(3), qk.union_lie()], ids=by_name)
 def test_noether_suite_op_calls_do_not_grow_with_pairs(r):
+    size = NOETHER_GRID * np.size(r.sample(np.random.default_rng(0)))
     for pairs in (1, 10, 50):
         counted, calls = counting(r)
         qk.noether_suite(counted, pairs=pairs, seed=2)
-        assert calls[0] == 2   # one per direction
+        # Both directions stacked, one call per block of BLOCK_NUMBERS // size members:
+        # only matrix-hermitian(3)'s 2 × 51 members at 50 pairs take two blocks (of 88).
+        assert calls[0] == -(-2 * (pairs + 1) // (verify.BLOCK_NUMBERS // size))

@@ -455,7 +455,7 @@ def test_skew_op_takes_one_eigh(monkeypatch):
     assert shapes == [(2, 2)]
     shapes.clear()
     qk.noether_suite(qk.matrix_hermitian(3), pairs=4)
-    assert shapes == [(5, 1, 3, 3)] * 2  # the control and 4 pairs, once per direction
+    assert shapes == [(10, 1, 3, 3)]  # the control and 4 pairs, in both directions at once
 
 
 def test_skew_op_raises_where_theta_overflows():
@@ -571,6 +571,16 @@ def test_random_hermitian_properties():
     assert qk.is_hermitian(h)
     hu = qk.random_hermitian(rng, 4, unit_norm=True)
     assert abs(qk.max_abs(hu) - 1.0) < 1e-14
+
+
+def test_random_hermitian_with_unit_norm_is_the_matrix_hermitian_sampler():
+    for dim in range(1, 17):
+        r = qk.matrix_hermitian(dim)
+        for seed in range(20):
+            a, b = np.random.default_rng(seed), np.random.default_rng(seed)
+            got, want = qk.random_hermitian(a, dim, unit_norm=True), r.sample(b)
+            assert (got.shape, got.dtype, got.tobytes()) == (want.shape, want.dtype, want.tobytes())
+            assert a.random() == b.random()  # the same stream was read
 
 
 def test_random_complex_bounds():
