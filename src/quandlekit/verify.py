@@ -414,7 +414,12 @@ def _noether_scorer(r: Realization, mode, t_samples, t_max, tol):
         raise ValueError(f"mode must be 'sampled' or 'bracket', got {mode!r}")
 
     def verdicts(xs, ys, names=None) -> list:  # a verdict names its pair as names do, else xs, ys
-        n, us, vs = len(xs), np.concatenate([xs, ys]), np.concatenate([ys, xs])
+        try:
+            n, us, vs = len(xs), np.concatenate([xs, ys]), np.concatenate([ys, xs])
+        except ValueError:  # elements of two shapes; name their sizes as the ops do
+            a, b = np.shape(xs[0]), np.shape(ys[0])
+            a, b = (a[-1], b[-1]) if len(a) == len(b) and a[-1] != b[-1] else (a, b)
+            raise ValueError(f"dimension mismatch: {a} vs {b}") from None
         res = _scores(lambda k: residual(us[k], vs[k]), 2 * n, size * us[0].size).tolist()
         return [NoetherVerdict(x, y, a <= tol, b <= tol, (a <= tol) == (b <= tol), method,
                                {"x_fixes_y": a, "y_fixes_x": b})

@@ -112,8 +112,10 @@ def test_enumerate_quandles_of_order_six(capsys, flags, count):
                                      "up_to_iso": bool(flags)}
 
 
-def test_enumerate_guard_exits_two(capsys):
-    code, _, err = run_cli(capsys, "enumerate", "--order", "7", "--kind", "quandle")
+@pytest.mark.parametrize("kind, order", [("quandle", 7), ("shelf", 4), ("spindle", 4)])
+def test_enumerate_guard_exits_two(capsys, kind, order):
+    # The cap is checked before any search; a shelf level at order 4 holds millions of rows.
+    code, _, err = run_cli(capsys, "enumerate", "--order", str(order), "--kind", kind)
     assert code == 2 and "error:" in err
 
 

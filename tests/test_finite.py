@@ -713,6 +713,16 @@ def test_enumeration_matches_oracle_exactly(kind, n):
     assert ours == oracle_enumerate(n, kind)
 
 
+@pytest.mark.parametrize("kind", ["shelf", "spindle"])
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_level_search_is_the_oracle_list(kind, n):
+    # enumerate_tables lists every relabeling of what the search found, so only
+    # the search itself shows a table it missed while keeping a relabeling.
+    found = qk.finite._level_search(n, kind)
+    assert found.dtype == np.uint8 and found.shape[1:] == (n, n)
+    assert [tuple(map(tuple, t)) for t in found.tolist()] == oracle_enumerate(n, kind)
+
+
 @pytest.mark.parametrize("kind,n", [
     ("shelf", 2), ("shelf", 3), ("spindle", 3), ("quandle", 3), ("quandle", 4),
 ])
@@ -772,8 +782,8 @@ def oracle_least_tables(tables: np.ndarray) -> list:
 
 @cache
 def searched_quandles(n: int) -> list:
-    """``_search(n, "quandle")``, run once per order for the whole module."""
-    return qk.finite._search(n, "quandle")
+    """``_search(n)``, run once per order for the whole module."""
+    return qk.finite._search(n)
 
 
 @pytest.mark.parametrize("n, count, classes", [(5, QUANDLE5_RAW, QUANDLE5_CLASSES), (6, 6658, 73)])

@@ -656,6 +656,17 @@ def test_noether_check_validation():
         qk.noether_check(r, qk.PAULI_X, qk.PAULI_Z, t_samples=41.0)
 
 
+@pytest.mark.parametrize("mode", ["sampled", "bracket"])
+@pytest.mark.parametrize("r, x, y, sizes", [
+    (qk.matrix_hermitian(2), np.eye(2), np.eye(3), "2 vs 3"),
+    (qk.bloch(), EZ3, np.array([1.0, 0.0]), "3 vs 2"),
+])
+def test_noether_check_names_both_sizes_of_a_mismatched_pair(r, x, y, sizes, mode):
+    # Both directions are stacked into one array, which two sizes cannot share.
+    with pytest.raises(ValueError, match=rf"^dimension mismatch: {sizes}$"):
+        qk.noether_check(r, x, y, mode=mode)
+
+
 @pytest.mark.parametrize("bad, error", [
     ({"t_max": math.nan}, "t_max must be positive"),
     ({"t_max": math.inf}, "t_max must be finite"),
